@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"morphcache/internal/core"
+	"morphcache/internal/topology"
 	"morphcache/internal/wal"
 )
 
@@ -98,6 +100,76 @@ func BenchmarkServeSetWAL(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServeEndEpoch is the epoch-boundary pause with the WAL on
+// (FsyncNever): quiet, where the controller keeps the grouping and the
+// boundary logs one marker; and repartition, where every epoch regroups
+// slots alpha holds lines in, evicts what the regrouping strands, rotates
+// the log and writes the compaction snapshot. The ledger measures the
+// whole call; only its controller, eviction and marker part holds the
+// shard locks.
+func BenchmarkServeEndEpoch(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		policy core.Policy
+	}{
+		{"quiet", nopPolicy{}},
+		{"repartition", &alternatePolicy{}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := Config{
+				Tenants:   []string{"alpha", "beta"},
+				Slots:     16,
+				Shards:    4,
+				SlotBytes: 256 << 10,
+				Ways:      8,
+				Policy:    bc.policy,
+				Persist:   &PersistConfig{Dir: b.TempDir(), Fsync: wal.FsyncNever},
+			}
+			c, err := New(cfg, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			val := []byte("payload-0123456789abcdef")
+			for i := 0; i < 4096; i++ {
+				if err := c.Set("alpha", fmt.Sprintf("user/%04d/profile", i), val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.EndEpoch()
+			}
+		})
+	}
+}
+
+// alternatePolicy grants alpha (slot 0) the donor slots 2–4 and takes
+// them back on alternate epochs, so every epoch repartitions.
+type alternatePolicy struct{ on bool }
+
+func (p *alternatePolicy) Name() string { return "alternate" }
+
+func (p *alternatePolicy) EndEpoch(_ int, m core.Machine) (int, bool) {
+	p.on = !p.on
+	groups := [][]int{{0}, {1}, {2}, {3}, {4}}
+	if p.on {
+		groups = [][]int{{0, 2, 3, 4}, {1}}
+	}
+	for s := 5; s < 16; s++ {
+		groups = append(groups, []int{s})
+	}
+	g, err := topology.FromGroups(16, groups)
+	if err != nil {
+		panic(err)
+	}
+	if err := m.SetTopology(topology.Topology{L2: g, L3: g}); err != nil {
+		panic(err)
+	}
+	return 1, false
 }
 
 // BenchmarkServeGetObserved is BenchmarkServeGet with request-level

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"math/bits"
 
 	"morphcache/internal/acfv"
 	"morphcache/internal/core"
 	"morphcache/internal/hierarchy"
+	"morphcache/internal/mem"
 	"morphcache/internal/topology"
 )
 
@@ -32,7 +32,11 @@ func (m machine) Topology() topology.Topology { return m.c.topo }
 // SetTopology implements core.Machine: it swaps the partition map and
 // evicts every line the new map strands outside its owner's partition
 // (the serving analogue of the hierarchy's inclusion enforcement on
-// shrink; merges strand nothing).
+// shrink; merges strand nothing). A stranded line sits in a slot of its
+// owner's old group that the new group lacks, and that slot's own mask
+// must then have changed too; so only the slices of slots whose mask
+// changed are scanned, sets × ways per shard, and they yield the same
+// evictions as a scan of every shard's whole store.
 func (m machine) SetTopology(t topology.Topology) error {
 	c := m.c
 	if t.L2.N() != c.cfg.Slots || t.L3.N() != c.cfg.Slots {
@@ -60,21 +64,32 @@ func (m machine) SetTopology(t topology.Topology) error {
 		}
 	}
 	c.pendingDelta = delta
+	var oldMask [32]uint32 // Slots ≤ 32
+	copy(oldMask[:], c.partMask)
 	c.topo = t
 	c.computePartMask()
-	for _, sh := range c.shards {
-		for gl := range sh.store {
-			owner := int(gl.ASID) - 1
-			bit := sh.pres.Get(gl)
-			if bit&c.partMask[owner] != 0 {
-				continue
+	for phys, mask := range c.partMask {
+		if mask == oldMask[phys] {
+			continue
+		}
+		bit := uint32(1) << uint(phys)
+		for _, sh := range c.shards {
+			sl := sh.slices[phys]
+			for set := 0; set < sl.Sets(); set++ {
+				for way := 0; way < sl.Ways(); way++ {
+					e := sl.Entry(set, way)
+					owner := int(e.ASID) - 1
+					if !e.Valid || c.partMask[owner]&bit != 0 {
+						continue
+					}
+					sl.InvalidateWay(set, way)
+					gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
+					sh.pres.Clear(gl, bit)
+					delete(sh.store, gl)
+					c.occupancy[owner].Add(-1)
+					c.met.evict(owner, "repartition")
+				}
 			}
-			phys := bits.TrailingZeros32(bit)
-			sh.slices[phys].Invalidate(gl.ASID, gl.Line)
-			sh.pres.Clear(gl, bit)
-			delete(sh.store, gl)
-			c.occupancy[owner].Add(-1)
-			c.met.evict(owner, "repartition")
 		}
 	}
 	c.met.repartition()

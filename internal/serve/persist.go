@@ -143,10 +143,7 @@ func (c *Cache) applyReplay(r wal.Record) error {
 // failure counts toward the degradation threshold; success resets it.
 func (c *Cache) walAppendLocked(r wal.Record) error {
 	if err := c.wal.Append(r); err != nil {
-		c.met.walAppendErr()
-		if c.walFails.Add(1) >= walFailThreshold {
-			c.setDegraded(true)
-		}
+		c.walFailed()
 		return fmt.Errorf("%w: %v", ErrPersist, err)
 	}
 	c.walFails.Store(0)
@@ -154,44 +151,79 @@ func (c *Cache) walAppendLocked(r wal.Record) error {
 	return nil
 }
 
-// walEndEpochLocked persists the epoch boundary (all shard locks held).
-// An epoch that repartitioned capacity triggers snapshot compaction —
-// the log is rewritten as the live state under the new grants — while a
-// quiet epoch just appends a marker carrying the grouping. Either write
-// doubles as the recovery probe: a success in degraded mode lifts the
-// server back to read-write.
-func (c *Cache) walEndEpochLocked(reconfigs int) {
+// walFailed counts one WAL failure toward the degradation threshold.
+func (c *Cache) walFailed() {
+	c.met.walAppendErr()
+	if c.walFails.Add(1) >= walFailThreshold {
+		c.setDegraded(true)
+	}
+}
+
+// walEndEpochLocked persists the epoch boundary (all shard locks held):
+// it appends a marker carrying the grouping — the recovery probe, whose
+// success in degraded mode lifts the server back to read-write — and, if
+// the epoch repartitioned capacity, rotates the log for a compaction.
+// The marker comes first, so the new grants survive a restart even if the
+// snapshot is never written. The returned compaction, if any, is
+// finished by walSnapshot once the shard locks are released.
+func (c *Cache) walEndEpochLocked(reconfigs int) *wal.Compaction {
 	state := encodeGrouping(c.topo.L2)
-	var err error
-	if reconfigs > 0 {
-		err = c.wal.Compact(uint64(c.epoch), state, func(emit func(tenant, key string, value []byte) error) error {
-			for _, sh := range c.shards {
-				for gl, e := range sh.store {
-					if err := emit(c.names[int(gl.ASID)-1], e.key, e.val); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	} else {
-		err = c.wal.Append(wal.Record{Kind: wal.KindEpoch, Epoch: uint64(c.epoch), Value: state})
+	if err := c.wal.Append(wal.Record{Kind: wal.KindEpoch, Epoch: uint64(c.epoch), Value: state}); err != nil {
+		c.walFailed()
+		return nil
 	}
-	if err != nil {
-		c.met.walAppendErr()
-		if c.walFails.Add(1) >= walFailThreshold {
-			c.setDegraded(true)
-		}
-		return
-	}
-	if reconfigs > 0 {
-		c.met.walCompactions.Inc()
-	} else {
-		c.met.walAppend()
-	}
+	c.met.walAppend()
 	c.walFails.Store(0)
 	c.setDegraded(false)
+	var cp *wal.Compaction
+	if reconfigs > 0 {
+		var err error
+		if cp, err = c.wal.BeginCompact(uint64(c.epoch), state); err != nil {
+			c.walFailed()
+		}
+	}
 	c.met.walSegments.Set(int64(c.wal.SegmentCount()))
+	return cp
+}
+
+// walSnapshot writes a repartition's compaction snapshot once EndEpoch
+// has released the shard locks.
+func (c *Cache) walSnapshot(cp *wal.Compaction) {
+	if err := cp.Write(c.streamSnapshot); err != nil {
+		c.walFailed()
+	} else {
+		c.met.walCompactions.Inc()
+	}
+	c.met.walSegments.Set(int64(c.wal.SegmentCount()))
+}
+
+// streamSnapshot emits every live entry, capturing one shard at a time
+// under only that shard's lock into one reused per-shard buffer, and
+// emitting with no lock held. The capture is fuzzy — each shard is read
+// at its own instant after the log rotation — and sound because every
+// mutation after the rotation is logged in the live segment, which
+// replays after the snapshot, and the last record for a key wins
+// (DESIGN.md §14).
+func (c *Cache) streamSnapshot(emit func(tenant, key string, value []byte) error) error {
+	type snapEntry struct {
+		tenant string
+		entry
+	}
+	var buf []snapEntry
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		buf = buf[:0]
+		for gl, e := range sh.store {
+			buf = append(buf, snapEntry{c.names[int(gl.ASID)-1], e})
+		}
+		sh.mu.Unlock()
+		for _, e := range buf {
+			if err := emit(e.tenant, e.key, e.val); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // setDegraded flips read-mostly mode and its gauge (idempotent). Each
@@ -221,11 +253,14 @@ func (c *Cache) setDegraded(on bool) {
 func (c *Cache) Degraded() bool { return c.degraded.Load() }
 
 // Close syncs and closes the write-ahead log (a no-op without
-// persistence). Callers should Drain first so no writes race the close.
+// persistence). It waits for an in-flight EndEpoch, snapshot included.
+// Callers should Drain first so no writes race the close.
 func (c *Cache) Close() error {
 	if c.wal == nil {
 		return nil
 	}
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
 	return c.wal.Close()
 }
 

@@ -182,9 +182,26 @@ func TestPersistCompactionRestoresGrants(t *testing.T) {
 	if len(wantPart) != 2 {
 		t.Fatalf("alpha partition = %v, want 2 slots", wantPart)
 	}
-	// Reconfiguration compacts the log to one snapshot segment.
-	if n := c.wal.SegmentCount(); n != 1 {
-		t.Fatalf("segments after compaction = %d, want 1", n)
+	// Reconfiguration compacts the log to a snapshot segment followed by
+	// the live one: nothing older than the snapshot survives.
+	segs, _ := filepath.Glob(filepath.Join(cfg.Persist.Dir, "*.wal"))
+	if len(segs) == 0 || len(segs) > 2 || c.wal.SegmentCount() != len(segs) {
+		t.Fatalf("segments after compaction = %v (count %d), want the snapshot and the live segment", segs, c.wal.SegmentCount())
+	}
+	f, err := os.Open(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first wal.Record
+	wal.ReadRecords(f, 1<<20, func(r wal.Record) error {
+		if first.Kind == 0 {
+			first = r
+		}
+		return nil
+	})
+	f.Close()
+	if first.Kind != wal.KindSnapshotBegin {
+		t.Fatalf("oldest segment %s starts with %v, want the snapshot", segs[0], first.Kind)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -226,6 +226,9 @@ type Cache struct {
 
 	policy   core.Policy
 	draining atomic.Bool
+	// epochMu serializes EndEpoch, including the snapshot it writes after
+	// releasing the shard locks, against other epochs and Close.
+	epochMu sync.Mutex
 
 	// occupancy[slot] counts the tenant's resident lines across shards
 	// (atomic so metric scrapes read without locks).
@@ -681,8 +684,25 @@ func (c *Cache) deleteLocked(sh *shard, slot, shardIdx int, h uint64, key string
 
 // EndEpoch closes a reconfiguration interval: with every shard locked, the
 // policy reads the epoch's ACFVs and repartitions, then the vectors reset
-// (§2.1). It returns the policy's operation count and asymmetry flag.
+// (§2.1) and the WAL logs the boundary. An epoch that repartitioned then
+// writes its compaction snapshot after the shard locks are released.
+// Epoch boundaries serialize on one mutex, which Close also takes. It
+// returns the policy's operation count and asymmetry flag.
 func (c *Cache) EndEpoch() (reconfigs int, asymmetric bool) {
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	r, asym, cp := c.endEpochLocked()
+	if cp != nil {
+		c.walSnapshot(cp)
+	}
+	return r, asym
+}
+
+// endEpochLocked is EndEpoch's stop-the-world section: the controller
+// decision, the topology swap with its evictions, the ACFV reset and the
+// WAL epoch marker (plus, on a repartition, the log rotation that starts
+// compaction).
+func (c *Cache) endEpochLocked() (int, bool, *wal.Compaction) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 	}
@@ -700,10 +720,11 @@ func (c *Cache) EndEpoch() (reconfigs int, asymmetric bool) {
 		}
 	}
 	c.met.epoch(r)
+	var cp *wal.Compaction
 	if c.wal != nil {
-		c.walEndEpochLocked(r)
+		cp = c.walEndEpochLocked(r)
 	}
-	return r, asym
+	return r, asym, cp
 }
 
 // RunEpochs drives EndEpoch on the configured interval until ctx ends.

@@ -21,11 +21,22 @@
 //   - FsyncNever: the OS page cache decides; a crash loses whatever was
 //     not yet written back.
 //
-// Compaction rewrites the live state into a fresh segment bracketed by
-// snapshot markers, syncs it, and only then removes the older segments
-// (oldest first), so a crash at any point leaves a replayable log: a
-// partial snapshot replays as idempotent re-sets on top of the still-
-// present older segments.
+// Compaction runs in two phases so its owner can keep it out of any
+// stop-the-world section. BeginCompact, under the log mutex, reserves
+// segment number S for the snapshot and rolls live appends to S+1; it only
+// creates S+1 and writes its header. Compaction.Write, later and
+// concurrently with appends to S+1, writes the snapshot (SnapshotBegin,
+// one Set per live entry, SnapshotEnd) to a temporary file that segment
+// listing ignores, syncs it, renames it to segment S, syncs the directory,
+// and only then removes the segments below S, oldest first. A crash at any
+// point leaves a replayable log: before the rename the history is intact
+// (Open deletes the leftover temporary file); after it the snapshot
+// replays as idempotent re-sets on top of whatever suffix of the history
+// remains, and S+1 replays after both. The rotation's own durability work
+// — syncing the retired segment's tail and the new directory entry — is
+// deferred too: under FsyncAlways the first append acknowledged in S+1
+// completes it, under FsyncInterval the next timer tick, and Write always
+// does it before the snapshot starts.
 package wal
 
 import (
@@ -224,7 +235,7 @@ type Log struct {
 	size   int64 // bytes written to the current segment
 	buf    []byte
 	closed bool
-	// injected, when non-nil, fails every Append/Sync/Compact — the
+	// injected, when non-nil, fails every Append, Sync and compaction — the
 	// serve-layer fault hook (shard-level WAL write-error and disk-full
 	// events) and a test seam for real disk failures.
 	injected error
@@ -234,9 +245,18 @@ type Log struct {
 	syncErr error
 	// dirty marks bytes appended since the last sync.
 	dirty bool
-	// compacting suppresses size-based rolling while a snapshot streams,
-	// so a snapshot always occupies one segment regardless of its size.
-	compacting bool
+	// segs counts the segment files listSegments would return, so
+	// SegmentCount never lists the directory.
+	segs int
+	// retired is the segment BeginCompact rolled away from, still open
+	// until settle syncs and closes it. rolls counts BeginCompact
+	// rotations; settled is the last one whose retired tail and new
+	// directory entry settle made durable.
+	retired        *os.File
+	rolls, settled int
+
+	// settleMu serializes settle, which runs without mu.
+	settleMu sync.Mutex
 
 	stop chan struct{}
 	done chan struct{}
@@ -251,6 +271,17 @@ func Open(dir string, opts Options, apply func(Record) error) (*Log, ReplayStats
 	var stats ReplayStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, stats, fmt.Errorf("wal: %w", err)
+	}
+	// A snapshot still under its temporary name was never committed: the
+	// history it would have replaced is intact.
+	tmps, err := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix))
+	if err != nil {
+		return nil, stats, fmt.Errorf("wal: %w", err)
+	}
+	for _, tmp := range tmps {
+		if err := os.Remove(tmp); err != nil {
+			return nil, stats, fmt.Errorf("wal: %w", err)
+		}
 	}
 	l := &Log{dir: dir, opts: opts, buf: make([]byte, 0, 4096)}
 	segs, err := listSegments(dir)
@@ -292,8 +323,9 @@ func Open(dir string, opts Options, apply func(Record) error) (*Log, ReplayStats
 		stats.Records += applied
 		stats.Skipped += skipped
 	}
+	l.segs = len(segs)
 	if len(segs) == 0 {
-		if err := l.newSegmentLocked(1); err != nil {
+		if err := l.rollLocked(1, true); err != nil {
 			return nil, stats, err
 		}
 	} else {
@@ -343,42 +375,110 @@ func listSegments(dir string) ([]int, error) {
 	return segs, nil
 }
 
-// newSegmentLocked closes the current segment (if any) and starts seq.
-func (l *Log) newSegmentLocked(seq int) error {
-	if l.f != nil {
-		// Acked-but-unsynced bytes must not ride only in a file we are
-		// about to stop writing: sync the old segment before moving on.
-		if l.dirty {
-			if err := l.f.Sync(); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			l.dirty = false
-		}
-		if err := l.f.Close(); err != nil {
+// tmpSuffix marks a snapshot still being written; listSegments ignores it
+// and Open deletes it.
+const tmpSuffix = ".tmp"
+
+// segHeader is the fixed header every segment file starts with.
+func segHeader() []byte {
+	hdr := make([]byte, segHeaderLen)
+	copy(hdr[:4], segMagic)
+	binary.LittleEndian.PutUint16(hdr[4:], segVersion)
+	return hdr
+}
+
+// rollLocked makes a fresh segment seq the live one. With durable set (a
+// size roll, or the first segment) the outgoing segment's tail, the new
+// header and the directory entry are synced before it returns. Without
+// (BeginCompact) it only creates the file and writes the header: the
+// outgoing segment stays open as l.retired and settle makes the rotation
+// durable later, outside the caller's critical section.
+func (l *Log) rollLocked(seq int, durable bool) error {
+	if l.retired != nil {
+		// An earlier rotation was never settled: finish its segment here
+		// rather than juggle two retired ones.
+		if err := l.retired.Sync(); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		l.f = nil
+		l.retired.Close()
+		l.retired = nil
+	}
+	if durable && l.dirty {
+		// Acked-but-unsynced bytes must not ride only in a file we are
+		// about to stop writing: sync the old segment before moving on.
+		if err := l.f.Sync(); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		l.dirty = false
 	}
 	f, err := os.OpenFile(l.segPath(seq), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var hdr [segHeaderLen]byte
-	copy(hdr[:4], segMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], segVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(segHeader()); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
+	if durable {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return fmt.Errorf("wal: %w", err)
+		}
+		if err := syncDir(l.dir); err != nil {
+			f.Close()
+			return err
+		}
 	}
-	if err := syncDir(l.dir); err != nil {
+	if l.f != nil {
+		if durable {
+			if err := l.f.Close(); err != nil {
+				f.Close()
+				return fmt.Errorf("wal: %w", err)
+			}
+		} else {
+			l.retired = l.f
+			l.rolls++
+		}
+	}
+	l.f, l.seq, l.size, l.dirty = f, seq, segHeaderLen, false
+	l.segs++
+	return nil
+}
+
+// settle makes the last BeginCompact rotation durable: it syncs and
+// closes the retired segment and syncs the directory, so the new live
+// segment's entry survives a power loss. It runs without l.mu, so
+// appends to the live segment continue meanwhile; settleMu serializes
+// settlers, and a caller that finds the rotation settled returns at once.
+// A failure is sticky like a background sync failure: the next Append
+// reports it.
+func (l *Log) settle() error {
+	l.settleMu.Lock()
+	defer l.settleMu.Unlock()
+	l.mu.Lock()
+	f, gen, done := l.retired, l.rolls, l.settled == l.rolls
+	l.retired = nil
+	l.mu.Unlock()
+	if done {
+		return nil
+	}
+	var err error
+	if f != nil {
+		if serr := f.Sync(); serr != nil {
+			err = fmt.Errorf("wal: %w", serr)
+		}
 		f.Close()
+	}
+	if err == nil {
+		err = syncDir(l.dir)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		l.syncErr = err
 		return err
 	}
-	l.f, l.seq, l.size = f, seq, segHeaderLen
+	l.settled = gen
 	return nil
 }
 
@@ -421,19 +521,31 @@ func marshal(buf []byte, r Record) ([]byte, error) {
 }
 
 // Append logs one record under the configured durability policy: when it
-// returns nil under FsyncAlways, the record is on disk.
+// returns nil under FsyncAlways, the record is on disk — and, if it is
+// the first in the segment a BeginCompact rotated to, so are that
+// segment's directory entry and the retired segment's tail.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(r, true)
+	err := l.appendLocked(r)
+	unsettled := err == nil && l.opts.Fsync == FsyncAlways && l.settled != l.rolls
+	l.mu.Unlock()
+	if unsettled {
+		return l.settle()
+	}
+	return err
 }
 
-func (l *Log) appendLocked(r Record, policySync bool) error {
+// usableLocked reports why the log cannot take writes, if it cannot.
+func (l *Log) usableLocked() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.injected != nil {
-		return l.injected
+	return l.injected
+}
+
+func (l *Log) appendLocked(r Record) error {
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if l.syncErr != nil {
 		err := l.syncErr
@@ -448,8 +560,8 @@ func (l *Log) appendLocked(r Record, policySync bool) error {
 	if len(r.Value) > l.opts.MaxValueBytes {
 		return fmt.Errorf("%w: value %d bytes over %d", ErrRecordTooLarge, len(r.Value), l.opts.MaxValueBytes)
 	}
-	if l.size >= l.opts.SegmentBytes && !l.compacting {
-		if err := l.newSegmentLocked(l.seq + 1); err != nil {
+	if l.size >= l.opts.SegmentBytes {
+		if err := l.rollLocked(l.seq+1, true); err != nil {
 			return err
 		}
 	}
@@ -464,7 +576,7 @@ func (l *Log) appendLocked(r Record, policySync bool) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.dirty = true
-	if policySync && l.opts.Fsync == FsyncAlways {
+	if l.opts.Fsync == FsyncAlways {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -473,19 +585,27 @@ func (l *Log) appendLocked(r Record, policySync bool) error {
 	return nil
 }
 
-// Sync forces buffered appends to disk.
+// Sync forces buffered appends, and any unsettled rotation, to disk. The
+// rotation settles first, so the live segment never reaches the disk
+// ahead of the retired one's tail.
 func (l *Log) Sync() error {
+	l.mu.Lock()
+	err := l.usableLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := l.settle(); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncLocked()
 }
 
 func (l *Log) syncLocked() error {
-	if l.closed {
-		return ErrClosed
-	}
-	if l.injected != nil {
-		return l.injected
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if !l.dirty {
 		return nil
@@ -508,8 +628,16 @@ func (l *Log) syncLoop() {
 		case <-l.stop:
 			return
 		case <-t.C:
+			// Settle first, as Sync does; a failure is sticky and the next
+			// tick retries it before syncing anything else.
 			l.mu.Lock()
-			if !l.closed && l.injected == nil && l.dirty {
+			live := l.usableLocked() == nil
+			l.mu.Unlock()
+			if !live || l.settle() != nil {
+				continue
+			}
+			l.mu.Lock()
+			if l.usableLocked() == nil && l.dirty {
 				if err := l.f.Sync(); err != nil {
 					l.syncErr = fmt.Errorf("wal: %w", err)
 				} else {
@@ -522,73 +650,157 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Compact rewrites the live state as a snapshot — a fresh segment holding
-// KindSnapshotBegin (carrying epoch and the opaque partition state),
-// the KindSet records stream emits, and KindSnapshotEnd — syncs it, and
-// removes all older segments. The caller must guarantee no concurrent
-// Appends mutate the state being streamed (the serve layer compacts with
-// every shard locked).
-func (l *Log) Compact(epoch uint64, state []byte, stream func(emit func(tenant, key string, value []byte) error) error) error {
+// Compaction is a snapshot in progress: BeginCompact has rotated the log,
+// and Write has yet to write the snapshot and retire the history.
+type Compaction struct {
+	l     *Log
+	seq   int // the segment number reserved for the snapshot
+	epoch uint64
+	state []byte
+}
+
+// BeginCompact is compaction's first phase, cheap enough to run inside
+// its caller's stop-the-world section: it reserves the next segment
+// number for the snapshot and rolls live appends to the one after it.
+// Every append from here on lands after the snapshot in replay order, so
+// the caller may capture the state Write streams at any later instant —
+// a fuzzy capture is sound because the last record for a key wins. At
+// most one compaction may be in flight; the caller serializes them.
+func (l *Log) BeginCompact(epoch uint64, state []byte) (*Compaction, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.usableLocked(); err != nil {
+		return nil, err
 	}
-	if l.injected != nil {
-		return l.injected
+	snap := l.seq + 1
+	if err := l.rollLocked(snap+1, false); err != nil {
+		return nil, err
 	}
-	old := l.seq
-	if err := l.newSegmentLocked(l.seq + 1); err != nil {
+	return &Compaction{l: l, seq: snap, epoch: epoch, state: state}, nil
+}
+
+// Write is compaction's second phase, run outside the caller's critical
+// section and concurrently with appends. It settles the rotation, writes
+// the snapshot — KindSnapshotBegin (epoch and the opaque partition
+// state), the KindSet records stream emits, KindSnapshotEnd — to a
+// temporary file, syncs it, renames it into place, and then removes every
+// older segment, oldest first. Call it exactly once per BeginCompact.
+func (cp *Compaction) Write(stream func(emit func(tenant, key string, value []byte) error) error) error {
+	l := cp.l
+	l.mu.Lock()
+	err := l.usableLocked()
+	l.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	l.compacting = true
-	defer func() { l.compacting = false }()
-	if err := l.appendLocked(Record{Kind: KindSnapshotBegin, Epoch: epoch, Value: state}, false); err != nil {
+	if err := l.settle(); err != nil {
+		return err
+	}
+	final := l.segPath(cp.seq)
+	tmp := final + tmpSuffix
+	if err := cp.writeFile(tmp, stream); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, final); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("wal: %w", err)
+	}
+	l.mu.Lock()
+	l.segs++
+	l.mu.Unlock()
+	// The snapshot must be durable under its final name before the
+	// history it replaces goes away.
+	if err := syncDir(l.dir); err != nil {
+		return err
+	}
+	segs, err := listSegments(l.dir)
+	if err != nil {
+		return err
+	}
+	// Oldest first: a crash part-way leaves a suffix of the history,
+	// which the snapshot's re-sets and the live segment correct.
+	for _, seq := range segs {
+		if seq >= cp.seq {
+			break
+		}
+		if err := os.Remove(l.segPath(seq)); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		l.mu.Lock()
+		l.segs--
+		l.mu.Unlock()
+	}
+	return syncDir(l.dir)
+}
+
+// writeFile writes, syncs and closes the snapshot segment image at path.
+func (cp *Compaction) writeFile(path string, stream func(emit func(tenant, key string, value []byte) error) error) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close() // for the error paths; the success path closes below
+	w := bufio.NewWriterSize(f, 1<<16)
+	if _, err := w.Write(segHeader()); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	var buf []byte
+	emit := func(r Record) error {
+		if len(r.Value) > cp.l.opts.MaxValueBytes {
+			return fmt.Errorf("%w: value %d bytes over %d", ErrRecordTooLarge, len(r.Value), cp.l.opts.MaxValueBytes)
+		}
+		var err error
+		if buf, err = marshal(buf[:0], r); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		return nil
+	}
+	if err := emit(Record{Kind: KindSnapshotBegin, Epoch: cp.epoch, Value: cp.state}); err != nil {
 		return err
 	}
 	if stream != nil {
 		err := stream(func(tenant, key string, value []byte) error {
-			return l.appendLocked(Record{Kind: KindSet, Tenant: tenant, Key: key, Value: value}, false)
+			return emit(Record{Kind: KindSet, Tenant: tenant, Key: key, Value: value})
 		})
 		if err != nil {
 			return err
 		}
 	}
-	if err := l.appendLocked(Record{Kind: KindSnapshotEnd}, false); err != nil {
+	if err := emit(Record{Kind: KindSnapshotEnd}); err != nil {
 		return err
 	}
-	// The snapshot must be durable before the history it replaces goes
-	// away; a crash in between replays old segments + a partial snapshot,
-	// which is idempotent.
-	if err := l.syncLocked(); err != nil {
-		return err
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
-	for seq := 1; seq <= old; seq++ {
-		if err := os.Remove(l.segPath(seq)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("wal: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
-	return syncDir(l.dir)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
 }
 
-// InjectFailure makes every subsequent Append/Sync/Compact fail with err
-// until cleared with nil — the deterministic fault-injection seam
-// (internal/fault WALWriteErr and DiskFull events).
+// InjectFailure makes every subsequent Append, Sync, BeginCompact and
+// Compaction.Write fail with err until cleared with nil — the
+// deterministic fault-injection seam (internal/fault WALWriteErr and
+// DiskFull events).
 func (l *Log) InjectFailure(err error) {
 	l.mu.Lock()
 	l.injected = err
 	l.mu.Unlock()
 }
 
-// SegmentCount returns the number of live segment files (for metrics).
+// SegmentCount returns the number of live segment files (for metrics),
+// from memory: it never lists the directory.
 func (l *Log) SegmentCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return 0
-	}
-	return len(segs)
+	return l.segs
 }
 
 // Size returns the byte size of the current segment (for metrics).
@@ -605,15 +817,31 @@ func (l *Log) Close() error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
+	// Sync what is pending — the live segment, and an unsettled
+	// rotation's retired segment and directory entry — unless a failure
+	// is injected.
 	var err error
-	if l.injected == nil && l.dirty {
-		if serr := l.f.Sync(); serr != nil {
-			err = fmt.Errorf("wal: %w", serr)
+	keep := func(e error) {
+		if err == nil && e != nil {
+			err = fmt.Errorf("wal: %w", e)
 		}
 	}
-	if cerr := l.f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("wal: %w", cerr)
+	if l.injected == nil && l.dirty {
+		keep(l.f.Sync())
 	}
+	if l.retired != nil {
+		if l.injected == nil {
+			keep(l.retired.Sync())
+		}
+		l.retired.Close()
+		l.retired = nil
+	}
+	if l.injected == nil && l.settled != l.rolls {
+		if serr := syncDir(l.dir); err == nil {
+			err = serr
+		}
+	}
+	keep(l.f.Close())
 	l.closed = true
 	stop, done := l.stop, l.done
 	l.mu.Unlock()

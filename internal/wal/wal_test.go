@@ -252,6 +252,50 @@ func TestCRCCatchesBitFlip(t *testing.T) {
 	}
 }
 
+// segmentFiles lists dir's segment numbers the way Open will see them.
+func segmentFiles(t *testing.T, dir string) []int {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// compactLive runs both compaction phases over a key → value map.
+func compactLive(t *testing.T, l *Log, epoch uint64, state []byte, live map[string]string) {
+	t.Helper()
+	cp, err := l.BeginCompact(epoch, state)
+	if err != nil {
+		t.Fatalf("BeginCompact: %v", err)
+	}
+	err = cp.Write(func(emit func(string, string, []byte) error) error {
+		for k, v := range live {
+			if err := emit("t", k, []byte(v)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+}
+
+// rebuild folds a replayed record list into a key → value map.
+func rebuild(recs []Record) map[string]string {
+	m := map[string]string{}
+	for _, r := range recs {
+		switch r.Kind {
+		case KindSet:
+			m[r.Key] = string(r.Value)
+		case KindDelete:
+			delete(m, r.Key)
+		}
+	}
+	return m
+}
+
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 256}, nil)
@@ -279,19 +323,12 @@ func TestCompaction(t *testing.T) {
 		t.Fatalf("want multiple segments before compaction, have %d", before)
 	}
 	state := []byte{0xAB, 0xCD}
-	err = l.Compact(42, state, func(emit func(string, string, []byte) error) error {
-		for k, v := range live {
-			if err := emit("t", k, []byte(v)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if after := l.SegmentCount(); after != 1 {
-		t.Fatalf("SegmentCount() after compaction = %d, want 1", after)
+	compactLive(t, l, 42, state, live)
+	// The snapshot is followed by the live segment appends rolled to, and
+	// nothing older survives.
+	segs := segmentFiles(t, dir)
+	if len(segs) > 2 || l.SegmentCount() != len(segs) {
+		t.Fatalf("segments after compaction = %v (count %d), want the snapshot and the live segment", segs, l.SegmentCount())
 	}
 	// Post-compaction appends land after the snapshot.
 	if err := l.Append(Record{Kind: KindSet, Tenant: "t", Key: "post", Value: []byte("p")}); err != nil {
@@ -307,22 +344,9 @@ func TestCompaction(t *testing.T) {
 	if got[0].Kind != KindSnapshotBegin || got[0].Epoch != 42 || !bytes.Equal(got[0].Value, state) {
 		t.Fatalf("first record = %+v, want snapshot-begin epoch 42", got[0])
 	}
-	rebuilt := map[string]string{}
-	for _, r := range got {
-		switch r.Kind {
-		case KindSet:
-			rebuilt[r.Key] = string(r.Value)
-		case KindDelete:
-			delete(rebuilt, r.Key)
-		}
-	}
 	live["post"] = "p"
-	want := map[string]string{}
-	for k, v := range live {
-		want[k] = v
-	}
-	if !reflect.DeepEqual(rebuilt, want) {
-		t.Fatalf("state after compacted replay = %v, want %v", rebuilt, want)
+	if rebuilt := rebuild(got); !reflect.DeepEqual(rebuilt, live) {
+		t.Fatalf("state after compacted replay = %v, want %v", rebuilt, live)
 	}
 	sawEnd := false
 	for _, r := range got {
@@ -333,6 +357,179 @@ func TestCompaction(t *testing.T) {
 	if !sawEnd {
 		t.Fatal("no snapshot-end marker in compacted replay")
 	}
+}
+
+// TestCompactionCrashStates replays the log as a crash would leave it at
+// each step of a two-phase compaction that races appends: after
+// BeginCompact, with a torn temporary snapshot, after the rename, and
+// after the removals. Every state must open cleanly, hold exactly the
+// appended state, and leave no temporary file behind.
+func TestCompactionCrashStates(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 512}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	live := map[string]string{}
+	apply := func(r Record) {
+		t.Helper()
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Kind == KindSet {
+			live[r.Key] = string(r.Value)
+		} else {
+			delete(live, r.Key)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		apply(Record{Kind: KindSet, Tenant: "t", Key: fmt.Sprintf("k%02d", i), Value: []byte("old")})
+	}
+	apply(Record{Kind: KindDelete, Tenant: "t", Key: "k03"})
+	type cut struct {
+		name string
+		dir  string
+		want map[string]string
+	}
+	var cuts []cut
+	snap := func(name string, fix func(dir string)) {
+		t.Helper()
+		d := copyDir(t, dir)
+		if fix != nil {
+			fix(d)
+		}
+		want := map[string]string{}
+		for k, v := range live {
+			want[k] = v
+		}
+		cuts = append(cuts, cut{name, d, want})
+	}
+
+	cp, err := l.BeginCompact(7, []byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Appends after the rotation land in the live segment; the capture
+	// below sees some of them and misses others.
+	apply(Record{Kind: KindSet, Tenant: "t", Key: "k00", Value: []byte("new")})
+	apply(Record{Kind: KindDelete, Tenant: "t", Key: "k01"})
+	snap("after-begin", nil)
+	history := segmentFiles(t, dir)
+	captured := map[string]string{}
+	for k, v := range live {
+		captured[k] = v
+	}
+	apply(Record{Kind: KindDelete, Tenant: "t", Key: "k02"})
+	apply(Record{Kind: KindSet, Tenant: "t", Key: "k01", Value: []byte("back")})
+	err = cp.Write(func(emit func(string, string, []byte) error) error {
+		n := 0
+		for k, v := range captured {
+			if err := emit("t", k, []byte(v)); err != nil {
+				return err
+			}
+			if n++; n == 5 {
+				snap("torn-temp", func(d string) {
+					f, err := os.OpenFile(filepath.Join(d, fmt.Sprintf("%08d.wal%s", cp.seq, tmpSuffix)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f.Write([]byte{0xde, 0xad})
+					f.Close()
+				})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply(Record{Kind: KindSet, Tenant: "t", Key: "k05", Value: []byte("late")})
+	snap("after-removals", nil)
+	// Before the removals the history sat beside the snapshot: restore it.
+	snap("after-rename", func(d string) {
+		for _, seq := range history {
+			if seq >= cp.seq {
+				continue
+			}
+			b, err := os.ReadFile(filepath.Join(cuts[0].dir, fmt.Sprintf("%08d.wal", seq)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(d, fmt.Sprintf("%08d.wal", seq)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	for _, c := range cuts {
+		got, _, l2 := collect(t, c.dir, Options{})
+		l2.Close()
+		if rebuilt := rebuild(got); !reflect.DeepEqual(rebuilt, c.want) {
+			t.Fatalf("%s: replayed state %v, want %v", c.name, rebuilt, c.want)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(c.dir, "*"+tmpSuffix)); len(tmps) != 0 {
+			t.Fatalf("%s: temporary files left after Open: %v", c.name, tmps)
+		}
+	}
+}
+
+// copyDir copies a flat log directory, as a crash at this instant would
+// leave it.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestSegmentCountTracksDirectory checks the in-memory segment count
+// against a directory listing through size rolls, compactions and
+// reopens.
+func TestSegmentCountTracksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncNever, SegmentBytes: 128}
+	l, _, err := Open(dir, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := l.SegmentCount(), len(segmentFiles(t, dir)); got != want {
+			t.Fatalf("%s: SegmentCount() = %d, directory holds %d", when, got, want)
+		}
+	}
+	check("open")
+	live := map[string]string{}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 12; i++ {
+			k := fmt.Sprintf("r%d/k%02d", round, i)
+			if err := l.Append(Record{Kind: KindSet, Tenant: "t", Key: k, Value: []byte("0123456789")}); err != nil {
+				t.Fatal(err)
+			}
+			live[k] = "0123456789"
+		}
+		check(fmt.Sprintf("round %d rolls", round))
+		compactLive(t, l, uint64(round), nil, live)
+		check(fmt.Sprintf("round %d compaction", round))
+		l.Close()
+		if l, _, err = Open(dir, opts, nil); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d reopen", round))
+	}
+	l.Close()
 }
 
 func TestInjectedFailure(t *testing.T) {
@@ -353,8 +550,8 @@ func TestInjectedFailure(t *testing.T) {
 	if err := l.Sync(); !errors.Is(err, boom) {
 		t.Fatalf("Sync under injection = %v", err)
 	}
-	if err := l.Compact(1, nil, nil); !errors.Is(err, boom) {
-		t.Fatalf("Compact under injection = %v", err)
+	if _, err := l.BeginCompact(1, nil); !errors.Is(err, boom) {
+		t.Fatalf("BeginCompact under injection = %v", err)
 	}
 	l.InjectFailure(nil)
 	if err := l.Append(Record{Kind: KindSet, Tenant: "t", Key: "k", Value: []byte("1")}); err != nil {
