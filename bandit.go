@@ -49,9 +49,12 @@ func ComputeBanditRegret(realized, oracle []float64) (*BanditRegret, error) {
 // arm list (empty = DefaultBanditArms). The Result is the stitched
 // per-epoch run with Result.BanditReport attached.
 func RunBandit(c Config, w Workload) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
+	return c.runEntry("RunBandit", "bandit", w)
+}
+
+// runBandit executes one bandit run: every window builds a fresh target of
+// its arm through the policy zoo and fresh sources.
+func (c Config) runBandit(w Workload) (*Result, error) {
 	bo := DefaultBanditConfig()
 	if c.Bandit != nil {
 		bo = *c.Bandit
@@ -60,14 +63,8 @@ func RunBandit(c Config, w Workload) (*Result, error) {
 		bo.Arms = DefaultBanditArms(c)
 	}
 	f := bandit.Factories{
-		NewTarget: func(arm string) (sim.Target, error) { return c.armTarget(arm) },
-		NewSources: func() ([]sim.Source, error) {
-			gens, err := w.Generators(c)
-			if err != nil {
-				return nil, err
-			}
-			return sim.FromGenerators(gens), nil
-		},
+		NewTarget:  c.target,
+		NewSources: func() ([]sim.Source, error) { return c.sources(w) },
 	}
 	sc, tl := c.instrumented()
 	rr, err := bandit.Run(sc, bo, f)
@@ -78,27 +75,4 @@ func RunBandit(c Config, w Workload) (*Result, error) {
 	res.BanditReport = rr.Report
 	res.Telemetry = tl
 	return res, nil
-}
-
-// armTarget builds a fresh target for one bandit arm. Arm names use the
-// RunSpec policy vocabulary: "morph", "morph-nodegrade", "pipp", "dsr", or
-// a static "(x:y:z)" spec. Each window gets its own target — windows share
-// nothing mutable — so every arm evaluation starts from the state a full
-// run of that policy starts from.
-func (c Config) armTarget(arm string) (sim.Target, error) {
-	switch arm {
-	case "morph", "morph-nodegrade", "pipp", "dsr":
-		return c.sampledTarget(arm, "")
-	default:
-		return c.sampledTarget("static", arm)
-	}
-}
-
-// rejectBandit guards the non-bandit entry points: a Config.Bandit that
-// would be silently ignored is a configuration error, not a no-op.
-func (c Config) rejectBandit(entry string) error {
-	if c.Bandit != nil {
-		return fmt.Errorf("morphcache: %s ignores Bandit configs; use RunBandit (or Policy %q)", entry, "bandit")
-	}
-	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"morphcache/internal/fault"
-	"morphcache/internal/sim"
-	"morphcache/internal/telemetry"
 )
 
 // banditTestConfig is a small fast configuration for facade-level bandit
@@ -101,56 +99,38 @@ func TestValidateBanditRejections(t *testing.T) {
 	}
 }
 
+// Every non-bandit entry point rejects a set Config.Bandit under its own
+// name, batch specs under their policy.
 func TestNonBanditEntryPointsRejectBandit(t *testing.T) {
 	c := banditTestConfig()
 	bo := DefaultBanditConfig()
 	c.Bandit = &bo
 	w := Mix("MIX 01")
-	if _, err := RunStatic(c, "(4:1:1)", w); err == nil || !strings.Contains(err.Error(), "Bandit") {
-		t.Fatalf("RunStatic must reject Bandit, got %v", err)
-	}
-	if _, err := RunMorphCache(c, w); err == nil || !strings.Contains(err.Error(), "Bandit") {
-		t.Fatalf("RunMorphCache must reject Bandit, got %v", err)
-	}
-	if _, err := RunPIPP(c, w); err == nil || !strings.Contains(err.Error(), "Bandit") {
-		t.Fatalf("RunPIPP must reject Bandit, got %v", err)
-	}
-	if _, err := RunDSR(c, w); err == nil || !strings.Contains(err.Error(), "Bandit") {
-		t.Fatalf("RunDSR must reject Bandit, got %v", err)
-	}
-}
-
-// TestArmRewardCapabilityPerPolicy pins which zoo policies can feed which
-// reward modes: hierarchy-backed arms expose telemetry counters (MPKI) and
-// hierarchy stats (energy); the counter-less PIPP/DSR baselines expose
-// neither, so those reward modes must degrade.
-func TestArmRewardCapabilityPerPolicy(t *testing.T) {
-	c := banditTestConfig()
-	cases := []struct {
-		arm      string
-		counters bool // telemetry.Snapshotter → usable for MPKI rewards
-		energy   bool // *sim.HierarchyTarget → usable for energy rewards
+	for _, tc := range []struct {
+		entry string
+		run   func() (*Result, error)
 	}{
-		{"morph", true, true},
-		{"morph-nodegrade", true, true},
-		{"(4:1:1)", true, true},
-		{"(1:1:4)", true, true},
-		{"pipp", false, false},
-		{"dsr", false, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.arm, func(t *testing.T) {
-			target, err := c.armTarget(tc.arm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := target.(telemetry.Snapshotter); ok != tc.counters {
-				t.Fatalf("arm %q Snapshotter=%v, want %v", tc.arm, ok, tc.counters)
-			}
-			if _, ok := target.(*sim.HierarchyTarget); ok != tc.energy {
-				t.Fatalf("arm %q HierarchyTarget=%v, want %v", tc.arm, ok, tc.energy)
-			}
-		})
+		{"RunStatic", func() (*Result, error) { return RunStatic(c, "(4:1:1)", w) }},
+		{"RunMorphCache", func() (*Result, error) { return RunMorphCache(c, w) }},
+		{"RunMorphCacheNoDegrade", func() (*Result, error) { return RunMorphCacheNoDegrade(c, w) }},
+		{"RunMorphCacheWithController", func() (*Result, error) {
+			res, _, err := RunMorphCacheWithController(c, w)
+			return res, err
+		}},
+		{"RunPIPP", func() (*Result, error) { return RunPIPP(c, w) }},
+		{"RunDSR", func() (*Result, error) { return RunDSR(c, w) }},
+		{`Policy "dsr"`, func() (*Result, error) {
+			_, err := RunBatch(c, []RunSpec{{Policy: "dsr", Workload: w}}, BatchOptions{Workers: 1})
+			return nil, err
+		}},
+	} {
+		_, err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), "Bandit") {
+			t.Fatalf("%s must reject Bandit, got %v", tc.entry, err)
+		}
+		if !strings.Contains(err.Error(), tc.entry+" ignores") {
+			t.Fatalf("%s error must name its own entry point, got %v", tc.entry, err)
+		}
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 	mc "morphcache"
 
 	"morphcache/internal/bus"
-	"morphcache/internal/core"
 	"morphcache/internal/hierarchy"
 	"morphcache/internal/runner"
 	"morphcache/internal/sim"
 	"morphcache/internal/stats"
-	"morphcache/internal/topology"
+	"morphcache/internal/zoo"
 )
 
 // xbar quantifies the §3.1 interconnect trade-off the paper argues
@@ -28,28 +27,19 @@ func xbar(cfg mc.Config, quick bool) error {
 	// so every run can execute concurrently; results come back in submission
 	// order, so the table below is identical at any worker count.
 	run := func(mn string, kind hierarchy.InterconnectKind, morph bool) (float64, error) {
-		w := mc.Mix(mn)
-		gens, err := w.Generators(cfg)
+		p := cfg.Params()
+		p.Interconnect = kind
+		policy := fmt.Sprintf("(%d:1:1)", p.Cores)
+		if morph {
+			policy = "morph"
+		}
+		target, err := zoo.Target(p, cfg.Morph, policy)
 		if err != nil {
 			return 0, err
 		}
-		p := cfg.Params()
-		p.Interconnect = kind
-		var target sim.Target
-		if morph {
-			p.ChargeRemote = true
-			sys, err := hierarchy.New(p, topology.AllPrivate(p.Cores))
-			if err != nil {
-				return 0, err
-			}
-			target = &sim.HierarchyTarget{Sys: sys, Policy: core.New(cfg.Morph)}
-		} else {
-			p.ChargeRemote = false
-			sys, err := hierarchy.New(p, topology.AllShared(p.Cores))
-			if err != nil {
-				return 0, err
-			}
-			target = &sim.HierarchyTarget{Sys: sys, Policy: sim.NopPolicy{Label: "(16:1:1)"}}
+		gens, err := mc.Mix(mn).Generators(cfg)
+		if err != nil {
+			return 0, err
 		}
 		eng, err := sim.New(simConfigOf(cfg), target, gens)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"morphcache/internal/runner"
 	"morphcache/internal/sim"
 	"morphcache/internal/stats"
+	"morphcache/internal/zoo"
 )
 
 // sens reproduces the §5.4 sensitivity study. Paper findings: doubling the
@@ -36,31 +37,34 @@ func sens(cfg mc.Config, quick bool) error {
 					// The paper's 8-core study uses 8-application mixes (§5.4).
 					mn += " (8)"
 				}
-				w := mc.Mix(mn)
-				gens, err := w.Generators(c)
-				if err != nil {
-					return 0, err
-				}
 				p := c.Params()
 				if mut != nil {
 					mut(&p)
 				}
-				baseSpec := fmt.Sprintf("(%d:1:1)", cores)
-				sp := p
-				sp.ChargeRemote = false
-				base, err := sim.RunStatic(simConfigOf(c), sp, baseSpec, gens)
+				throughput := func(policy string) (float64, error) {
+					target, err := zoo.Target(p, core.DefaultOptions(), policy)
+					if err != nil {
+						return 0, err
+					}
+					gens, err := mc.Mix(mn).Generators(c)
+					if err != nil {
+						return 0, err
+					}
+					eng, err := sim.New(simConfigOf(c), target, gens)
+					if err != nil {
+						return 0, err
+					}
+					return eng.Run().Throughput(), nil
+				}
+				base, err := throughput(fmt.Sprintf("(%d:1:1)", cores))
 				if err != nil {
 					return 0, err
 				}
-				gens2, err := w.Generators(c)
+				morph, err := throughput("morph")
 				if err != nil {
 					return 0, err
 				}
-				mrun, err := sim.RunPolicy(simConfigOf(c), p, core.New(core.DefaultOptions()), gens2)
-				if err != nil {
-					return 0, err
-				}
-				return mrun.Throughput() / base.Throughput(), nil
+				return morph / base, nil
 			})
 		if err != nil {
 			return 0, err

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"morphcache/internal/baselines/bandit"
-	"morphcache/internal/sim"
 )
 
 // banditOptions assembles the meta-policy parameters from the -bandit-* flag
@@ -41,28 +40,6 @@ func banditOptions(arms, strategy string, window, warmup int, reward string, eps
 		o.Epsilon = epsilon
 	}
 	return o
-}
-
-// runBandit executes the bandit counterpart of runPolicy: split the run into
-// windows, pick one arm (policy) per window, simulate it on a fresh target
-// via the resume machinery, and stitch the measured epochs back together.
-// Arms build through the same buildTarget as -policy, so the vocabulary is
-// identical. Like -sampled, there is no single hierarchy to -stats.
-func runBandit(cfg sim.Config, cores, scale int, wl string, o bandit.Options) (*bandit.RunResult, error) {
-	f := bandit.Factories{
-		NewTarget: func(arm string) (sim.Target, error) {
-			t, _, err := buildTarget(cores, scale, arm)
-			return t, err
-		},
-		NewSources: func() ([]sim.Source, error) {
-			gens, err := buildGenerators(wl, cores, cfg.Seed, scale)
-			if err != nil {
-				return nil, err
-			}
-			return sim.FromGenerators(gens), nil
-		},
-	}
-	return bandit.Run(cfg, o, f)
 }
 
 // printBanditSummary renders the decision report after the standard run

@@ -41,14 +41,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	mc "morphcache"
 
 	"morphcache/internal/baselines/bandit"
-	"morphcache/internal/baselines/dsr"
-	"morphcache/internal/baselines/pipp"
 	"morphcache/internal/core"
 	"morphcache/internal/fault"
 	"morphcache/internal/hierarchy"
@@ -56,8 +53,8 @@ import (
 	"morphcache/internal/sampled"
 	"morphcache/internal/sim"
 	"morphcache/internal/telemetry"
-	"morphcache/internal/topology"
 	"morphcache/internal/workload"
+	"morphcache/internal/zoo"
 )
 
 func main() {
@@ -166,6 +163,7 @@ func main() {
 		WarmupEpochs: *warmup,
 		EpochCycles:  *epochCycles,
 		Seed:         *seed,
+		Morph:        core.DefaultOptions(),
 		Faults:       plan,
 	}
 	if *sampledRun {
@@ -195,28 +193,59 @@ func main() {
 		cfg.Recorder = tl
 	}
 
+	// Every target comes from the policy zoo, so -policy and -bandit-arms
+	// share one vocabulary with the facade. Windowed runs build a fresh
+	// target and fresh sources per window; a full run builds one of each,
+	// target first.
+	w := mc.Parsec(*wl)
+	if _, err := workload.MixByName(*wl); err == nil {
+		w = mc.Mix(*wl)
+	}
+	newTarget := func(name string) (sim.Target, error) {
+		return zoo.Target(vcfg.Params(), vcfg.Morph, name)
+	}
+	newSources := func() ([]sim.Source, error) {
+		gens, err := w.Generators(vcfg)
+		if err != nil {
+			return nil, err
+		}
+		return sim.FromGenerators(gens), nil
+	}
+	var target sim.Target
+	var sys *hierarchy.System
 	var srcs []sim.Source
 	var finish func() error
-	switch {
-	case *traceIn != "":
-		s, err := replaySources(*traceIn, *cores)
+	if !*sampledRun && !*banditRun {
+		t, err := newTarget(*policy)
 		if err != nil {
 			fatal(err)
 		}
-		srcs = s
-	default:
-		gens, err := buildGenerators(*wl, *cores, *seed, *scale)
-		if err != nil {
-			fatal(err)
+		target = t
+		if ht, ok := t.(*sim.HierarchyTarget); ok {
+			sys = ht.Sys
+		} else if *stats {
+			fatal(fmt.Errorf("-stats reports hierarchy counters; %q manages its own caches (drop -stats)", *policy))
 		}
-		if *traceOut != "" {
-			s, done, err := wrapRecording(gens, *traceOut)
+		switch {
+		case *traceIn != "":
+			srcs, err = replaySources(*traceIn, *cores)
 			if err != nil {
 				fatal(err)
 			}
-			srcs, finish = s, done
-		} else {
-			srcs = sim.FromGenerators(gens)
+		case *traceOut != "":
+			gens, err := w.Generators(vcfg)
+			if err != nil {
+				fatal(err)
+			}
+			srcs, finish, err = wrapRecording(gens, *traceOut)
+			if err != nil {
+				fatal(err)
+			}
+		default:
+			srcs, err = newSources()
+			if err != nil {
+				fatal(err)
+			}
 		}
 	}
 
@@ -225,7 +254,11 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	obsDone, observer, err := obsSetup(ctx, *adminAddr, *spanTrace, *policy+" "+*wl)
+	label := *policy + " " + *wl
+	if *banditRun {
+		label = "bandit " + *wl
+	}
+	obsDone, observer, err := obsSetup(ctx, *adminAddr, *spanTrace, label)
 	if err != nil {
 		fatal(err)
 	}
@@ -234,7 +267,6 @@ func main() {
 
 	type runOutcome struct {
 		run  *metrics.Run
-		sys  *hierarchy.System
 		rep  *sampled.Report
 		brep *bandit.Report
 		slog *telemetry.Log
@@ -247,27 +279,36 @@ func main() {
 		var o runOutcome
 		switch {
 		case *banditRun:
-			rr, err := runBandit(cfg, *cores, *scale, *wl, bopts)
+			rr, err := bandit.Run(cfg, bopts, bandit.Factories{NewTarget: newTarget, NewSources: newSources})
 			if err != nil {
 				o.err = err
 			} else {
 				o = runOutcome{run: rr.Run, brep: rr.Report}
 			}
 		case *sampledRun:
-			rr, err := runSampled(cfg, *cores, *scale, *policy, *wl, sopts)
+			f := sampled.Factories{
+				NewTarget:  func() (sim.Target, error) { return newTarget(*policy) },
+				NewSources: newSources,
+			}
+			key := fmt.Sprintf("%s|c%d|x%d|cy%d", *wl, *cores, *scale, cfg.EpochCycles)
+			rr, err := sampled.Run(cfg, sopts, key, f)
 			if err != nil {
 				o.err = err
 			} else {
 				o = runOutcome{run: rr.Run, rep: rr.Report, slog: rr.Log}
 			}
 		default:
-			o.run, o.sys, o.err = runPolicy(cfg, *cores, *scale, *policy, srcs)
+			eng, err := sim.NewFromSources(cfg, target, srcs)
+			if err != nil {
+				o.err = err
+			} else {
+				o.run = eng.Run()
+			}
 		}
 		observer.JobFinished(o.err, time.Since(start))
 		ch <- o
 	}()
 	var run *metrics.Run
-	var sys *hierarchy.System
 	var srep *sampled.Report
 	var brep *bandit.Report
 	select {
@@ -275,7 +316,7 @@ func main() {
 		if o.err != nil {
 			fatal(o.err)
 		}
-		run, sys, srep, brep = o.run, o.sys, o.rep, o.brep
+		run, srep, brep = o.run, o.rep, o.brep
 		if tl != nil && o.slog != nil {
 			// Sampled runs record their windows into their own log (absolute
 			// epoch indices, warmup records flagged); that log is the one
@@ -343,101 +384,6 @@ func main() {
 	if *stats && sys != nil {
 		dumpStats(sys)
 	}
-}
-
-func buildGenerators(name string, cores int, seed uint64, scale int) ([]*workload.Generator, error) {
-	gcfg := workload.ScaledGenConfig(scale)
-	if scale <= 1 {
-		gcfg = workload.DefaultGenConfig()
-	}
-	if mix, err := workload.MixByName(name); err == nil {
-		if len(mix.Benchmarks) < cores {
-			return nil, fmt.Errorf("mix %q has %d applications, need %d cores", name, len(mix.Benchmarks), cores)
-		}
-		mix.Benchmarks = mix.Benchmarks[:cores]
-		return workload.MixGenerators(mix, gcfg, seed), nil
-	}
-	p, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	if p.Suite != workload.PARSEC {
-		return nil, fmt.Errorf("%q is a single-threaded SPEC benchmark; use a Table 5 mix or a PARSEC name", name)
-	}
-	return workload.ParsecGenerators(p, cores, gcfg, seed), nil
-}
-
-// buildTarget assembles the cache system and policy named by the flag. The
-// returned hierarchy is nil for the PIPP/DSR targets (they manage their own
-// caches).
-func buildTarget(cores, scale int, policy string) (sim.Target, *hierarchy.System, error) {
-	params := hierarchy.ScaledDefault(cores, scale)
-	if scale <= 1 {
-		params = hierarchy.Default(cores)
-	}
-	var target sim.Target
-	var sys *hierarchy.System
-	switch {
-	case strings.HasPrefix(policy, "(") || strings.Contains(policy, ":"):
-		topo, err := topology.FromSpec(policy, cores)
-		if err != nil {
-			return nil, nil, err
-		}
-		params.ChargeRemote = false
-		sys, err = hierarchy.New(params, topo)
-		if err != nil {
-			return nil, nil, err
-		}
-		target = &sim.HierarchyTarget{Sys: sys, Policy: sim.NopPolicy{Label: policy}}
-	case policy == "pipp":
-		target = pipp.New(params, pipp.DefaultOptions())
-	case policy == "dsr":
-		target = dsr.New(params, dsr.DefaultOptions())
-	default:
-		opts := core.DefaultOptions()
-		nodegrade := false
-		switch policy {
-		case "morph":
-		case "morph-nodegrade":
-			nodegrade = true // fault-handling strawman: same controller, no degradation pass
-		case "morph-qos":
-			opts.QoS = true
-		case "morph-split-aggressive":
-			opts.Conflict = core.SplitAggressive
-		case "morph-arbitrary":
-			opts.AllowArbitrarySizes = true
-		case "morph-nonneighbor":
-			opts.AllowNonNeighbors = true
-			opts.AllowArbitrarySizes = true
-		default:
-			return nil, nil, fmt.Errorf("unknown policy %q", policy)
-		}
-		params.ChargeRemote = true
-		var err error
-		sys, err = hierarchy.New(params, topology.AllPrivate(cores))
-		if err != nil {
-			return nil, nil, err
-		}
-		ctrl := core.New(opts)
-		if nodegrade {
-			ctrl.SetDegradation(false)
-		}
-		target = &sim.HierarchyTarget{Sys: sys, Policy: ctrl}
-	}
-	return target, sys, nil
-}
-
-// runPolicy executes the sources under the named policy.
-func runPolicy(cfg sim.Config, cores, scale int, policy string, srcs []sim.Source) (*metrics.Run, *hierarchy.System, error) {
-	target, sys, err := buildTarget(cores, scale, policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := sim.NewFromSources(cfg, target, srcs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return eng.Run(), sys, nil
 }
 
 func fatal(err error) {

@@ -1,11 +1,6 @@
 package main
 
-import (
-	"fmt"
-
-	"morphcache/internal/sampled"
-	"morphcache/internal/sim"
-)
+import "morphcache/internal/sampled"
 
 // sampledOptions assembles the sampling parameters from the -sampled-* flag
 // values: the defaults of DESIGN.md §13, with any explicitly set flag
@@ -29,27 +24,4 @@ func sampledOptions(phases, warmup int, window uint64, refs int) sampled.Options
 		o.ProfileRefs = refs
 	}
 	return o
-}
-
-// runSampled executes the sampled counterpart of runPolicy: phase-cluster
-// the run's epochs, simulate one representative window per phase on a fresh
-// target with fresh sources, and reconstruct the full-run metrics. The
-// hierarchy of a sampled run is per-window, so there is no -stats system to
-// return.
-func runSampled(cfg sim.Config, cores, scale int, policy, wl string, o sampled.Options) (*sampled.RunResult, error) {
-	f := sampled.Factories{
-		NewTarget: func() (sim.Target, error) {
-			t, _, err := buildTarget(cores, scale, policy)
-			return t, err
-		},
-		NewSources: func() ([]sim.Source, error) {
-			gens, err := buildGenerators(wl, cores, cfg.Seed, scale)
-			if err != nil {
-				return nil, err
-			}
-			return sim.FromGenerators(gens), nil
-		},
-	}
-	key := fmt.Sprintf("%s|c%d|x%d|cy%d", wl, cores, scale, cfg.EpochCycles)
-	return sampled.Run(cfg, o, key, f)
 }

@@ -78,9 +78,9 @@ const (
 // Options configures the meta-policy. The zero value of every field
 // selects the default printed by Defaults.
 type Options struct {
-	// Arms lists the candidate policies in the facade's RunSpec vocabulary:
-	// "morph", "morph-nodegrade", "pipp", "dsr", or a static topology spec
-	// like "(4:4:1)". Empty means "the caller's default zoo" (the facade
+	// Arms lists the candidate policies by name in the policy zoo's
+	// vocabulary (internal/zoo): "morph" and its variants, "pipp", "dsr",
+	// or a static topology spec like "(4:4:1)". Empty means "the caller's default zoo" (the facade
 	// substitutes it before calling Run); Run itself requires at least one
 	// arm. Order does not matter — arms are canonicalized by sorting.
 	Arms []string
@@ -593,17 +593,9 @@ func selectArm(arms []*armState, o Options, seed uint64, w int, rMin, rMax float
 // prefix on a fresh target and fresh sources, returning the window's run,
 // its reward in the given mode, and its mean per-epoch throughput.
 func runWindow(scfg sim.Config, o Options, f Factories, reward, arm string, absStart, mLen int) (*metrics.Run, float64, float64, error) {
-	warm := o.WindowWarmup
-	if warm > absStart {
-		warm = absStart
-	}
-	wcfg := scfg
-	wcfg.StartEpoch = absStart - warm
-	wcfg.WarmupEpochs = warm
-	wcfg.Epochs = mLen
-
 	// MPKI rewards read per-epoch counter records: attach a window log,
 	// teeing into the caller's recorder when one is set.
+	wcfg := scfg
 	var wlog *telemetry.Log
 	if reward == RewardMPKI {
 		wlog = telemetry.NewLog()
@@ -622,11 +614,10 @@ func runWindow(scfg sim.Config, o Options, f Factories, reward, arm string, absS
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	eng, err := sim.NewFromSources(wcfg, target, srcs)
+	wrun, err := sim.RunWindow(wcfg, absStart, o.WindowWarmup, mLen, target, srcs)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	wrun := eng.Run()
 
 	var thr float64
 	for _, t := range wrun.EpochThroughputs() {

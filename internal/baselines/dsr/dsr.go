@@ -26,9 +26,6 @@ import (
 	"morphcache/internal/cache"
 	"morphcache/internal/hierarchy"
 	"morphcache/internal/mem"
-	"morphcache/internal/metrics"
-	"morphcache/internal/sim"
-	"morphcache/internal/workload"
 )
 
 // Options tunes the DSR mechanism.
@@ -304,14 +301,4 @@ func (lv *level) clearPresent(gl mem.GlobalLine, slice int) {
 	} else {
 		lv.present[gl] = v
 	}
-}
-
-// Run executes a workload under DSR with the engine defaults.
-func Run(cfg sim.Config, p hierarchy.Params, gens []*workload.Generator) (*metrics.Run, error) {
-	sys := New(p, DefaultOptions())
-	eng, err := sim.New(cfg, sys, gens)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(), nil
 }

@@ -104,14 +104,14 @@ func TestSystemEndToEnd(t *testing.T) {
 	gens := workload.MixGenerators(mix, workload.ScaledGenConfig(16), 1)
 	cfg := sim.DefaultConfig()
 	cfg.Epochs, cfg.WarmupEpochs, cfg.EpochCycles = 3, 1, 100_000
-	run, err := Run(cfg, p, gens)
+	sys := New(p, DefaultOptions())
+	eng, err := sim.New(cfg, sys, gens)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Throughput() <= 0 {
+	if eng.Run().Throughput() <= 0 {
 		t.Fatal("DSR run made no progress")
 	}
-	sys := New(p, DefaultOptions())
 	if sys.Name() != "DSR" || sys.Spec() == "" || sys.Cores() != 4 {
 		t.Fatal("target metadata")
 	}

@@ -30,10 +30,7 @@ import (
 	"morphcache/internal/cache"
 	"morphcache/internal/hierarchy"
 	"morphcache/internal/mem"
-	"morphcache/internal/metrics"
 	"morphcache/internal/rng"
-	"morphcache/internal/sim"
-	"morphcache/internal/workload"
 )
 
 // Options tunes the PIPP mechanism.
@@ -443,14 +440,4 @@ func (m *umon) decay() {
 		m.hits[i] /= 2
 	}
 	m.accesses /= 2
-}
-
-// Run executes a workload under PIPP with the engine defaults.
-func Run(cfg sim.Config, p hierarchy.Params, gens []*workload.Generator) (*metrics.Run, error) {
-	sys := New(p, DefaultOptions())
-	eng, err := sim.New(cfg, sys, gens)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(), nil
 }

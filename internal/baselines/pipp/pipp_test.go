@@ -129,10 +129,11 @@ func TestSystemEndToEnd(t *testing.T) {
 	gens := workload.MixGenerators(mix, workload.ScaledGenConfig(16), 1)
 	cfg := sim.DefaultConfig()
 	cfg.Epochs, cfg.WarmupEpochs, cfg.EpochCycles = 3, 1, 100_000
-	run, err := Run(cfg, p, gens)
+	eng, err := sim.New(cfg, New(p, DefaultOptions()), gens)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := eng.Run()
 	if run.Throughput() <= 0 {
 		t.Fatal("PIPP run produced no progress")
 	}

@@ -208,6 +208,9 @@ func New(opts Options) *Controller {
 	return &Controller{opts: opts, msat: opts.MSAT, degrade: true}
 }
 
+// Options returns the options the controller runs with (defaults filled).
+func (c *Controller) Options() Options { return c.opts }
+
 // Name implements Policy.
 func (c *Controller) Name() string {
 	if !c.degrade {

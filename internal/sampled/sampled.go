@@ -292,14 +292,7 @@ type window struct {
 // representative epoch, on a fresh target with fresh sources.
 func runWindow(scfg sim.Config, o Options, f Factories, ph phase) (*window, error) {
 	rep := scfg.WarmupEpochs + ph.rep // absolute epoch
-	warm := o.WindowWarmup
-	if warm > rep {
-		warm = rep
-	}
 	wcfg := scfg
-	wcfg.StartEpoch = rep - warm
-	wcfg.WarmupEpochs = warm
-	wcfg.Epochs = 1
 	if o.WindowCycles > 0 {
 		wcfg.EpochCycles = o.WindowCycles
 	}
@@ -314,13 +307,13 @@ func runWindow(scfg sim.Config, o Options, f Factories, ph phase) (*window, erro
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sim.NewFromSources(wcfg, target, srcs)
+	run, err := sim.RunWindow(wcfg, rep, o.WindowWarmup, 1, target, srcs)
 	if err != nil {
 		return nil, err
 	}
-	run := eng.Run()
 
-	w := &window{run: run, log: wlog, epochs: warm + 1}
+	// The log holds one record per simulated epoch, warmup included.
+	w := &window{run: run, log: wlog, epochs: len(wlog.Epochs)}
 	for i := range wlog.Epochs {
 		if r := &wlog.Epochs[i]; r.Epoch == rep && !r.Warmup {
 			w.measured = r

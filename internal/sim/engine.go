@@ -529,34 +529,24 @@ func latencySummary(cur [obs.NumServed]obs.HistSnapshot, prev *[obs.NumServed]ob
 	return sum
 }
 
-// RunStatic builds a hierarchy in a fixed (x:y:z) topology with the paper's
-// idealized static latencies and runs the workload on it.
-func RunStatic(cfg Config, p hierarchy.Params, spec string, gens []*workload.Generator) (*metrics.Run, error) {
-	topo, err := topology.FromSpec(spec, p.Cores)
-	if err != nil {
-		return nil, err
+// RunWindow resumes the workload at absolute epoch start and runs epochs
+// measured epochs there, preceded by up to warmup unmeasured ones: the
+// warmup is capped at start, so a window near the beginning of the run
+// warms up on the epochs that exist. It is the one window runner behind
+// sampled simulation and the bandit meta-policy, which call it with a fresh
+// target and fresh sources per window; cfg supplies everything else (epoch
+// length, recorder, observer).
+func RunWindow(cfg Config, start, warmup, epochs int, target Target, srcs []Source) (*metrics.Run, error) {
+	if start < 0 || warmup < 0 {
+		return nil, fmt.Errorf("sim: window start %d and warmup %d must be >= 0", start, warmup)
 	}
-	p.ChargeRemote = false
-	sys, err := hierarchy.New(p, topo)
-	if err != nil {
-		return nil, err
+	if warmup > start {
+		warmup = start
 	}
-	eng, err := New(cfg, &HierarchyTarget{Sys: sys, Policy: NopPolicy{Label: spec}}, gens)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(), nil
-}
-
-// RunPolicy builds a MorphCache-style adaptive hierarchy (remote-hit
-// charging on, starting all-private per §2.2) under the given policy.
-func RunPolicy(cfg Config, p hierarchy.Params, policy Policy, gens []*workload.Generator) (*metrics.Run, error) {
-	p.ChargeRemote = true
-	sys, err := hierarchy.New(p, topology.AllPrivate(p.Cores))
-	if err != nil {
-		return nil, err
-	}
-	eng, err := New(cfg, &HierarchyTarget{Sys: sys, Policy: policy}, gens)
+	cfg.StartEpoch = start - warmup
+	cfg.WarmupEpochs = warmup
+	cfg.Epochs = epochs
+	eng, err := NewFromSources(cfg, target, srcs)
 	if err != nil {
 		return nil, err
 	}

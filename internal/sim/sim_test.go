@@ -7,6 +7,7 @@ import (
 	"morphcache/internal/core"
 	"morphcache/internal/hierarchy"
 	"morphcache/internal/mem"
+	"morphcache/internal/metrics"
 	"morphcache/internal/topology"
 	"morphcache/internal/trace"
 	"morphcache/internal/workload"
@@ -30,12 +31,33 @@ func testGens(t *testing.T, mixName string, cores int) []*workload.Generator {
 	return workload.MixGenerators(mix, workload.ScaledGenConfig(16), 1)
 }
 
-func TestRunStaticBasics(t *testing.T) {
-	p := hierarchy.ScaledDefault(4, 16)
-	run, err := RunStatic(testConfig(), p, "(4:1:1)", testGens(t, "MIX 01", 4))
+// runOn builds a 4-core hierarchy in the given topology under the policy
+// and runs the generators on it.
+func runOn(t *testing.T, topo topology.Topology, policy Policy, gens []*workload.Generator) *metrics.Run {
+	t.Helper()
+	sys, err := hierarchy.New(hierarchy.ScaledDefault(4, 16), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng, err := New(testConfig(), &HierarchyTarget{Sys: sys, Policy: policy}, gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Run()
+}
+
+// runStatic runs the generators on a fixed (x:y:z) topology.
+func runStatic(t *testing.T, spec string, gens []*workload.Generator) *metrics.Run {
+	t.Helper()
+	topo, err := topology.FromSpec(spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runOn(t, topo, NopPolicy{Label: spec}, gens)
+}
+
+func TestRunStaticBasics(t *testing.T) {
+	run := runStatic(t, "(4:1:1)", testGens(t, "MIX 01", 4))
 	if len(run.Epochs) != 4 {
 		t.Fatalf("%d measured epochs, want 4", len(run.Epochs))
 	}
@@ -59,15 +81,8 @@ func TestRunStaticBasics(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	p := hierarchy.ScaledDefault(4, 16)
-	a, err := RunStatic(testConfig(), p, "(1:1:4)", testGens(t, "MIX 02", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunStatic(testConfig(), p, "(1:1:4)", testGens(t, "MIX 02", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runStatic(t, "(1:1:4)", testGens(t, "MIX 02", 4))
+	b := runStatic(t, "(1:1:4)", testGens(t, "MIX 02", 4))
 	for c := range a.PerCoreIPC {
 		if a.PerCoreIPC[c] != b.PerCoreIPC[c] {
 			t.Fatalf("non-deterministic IPC for core %d: %v vs %v", c, a.PerCoreIPC[c], b.PerCoreIPC[c])
@@ -128,12 +143,10 @@ func TestPolicyContract(t *testing.T) {
 	}
 }
 
+// An all-private hierarchy (MorphCache's starting point, §2.2) reports
+// itself as (1:1:n) every epoch while its policy leaves it alone.
 func TestRunPolicyStartsPrivate(t *testing.T) {
-	p := hierarchy.ScaledDefault(4, 16)
-	run, err := RunPolicy(testConfig(), p, NopPolicy{Label: "nop"}, testGens(t, "MIX 03", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runOn(t, topology.AllPrivate(4), NopPolicy{Label: "nop"}, testGens(t, "MIX 03", 4))
 	for _, e := range run.Epochs {
 		if e.Topology != "(1:1:4)" {
 			t.Fatalf("policy runs start all-private (§2.2), got %q", e.Topology)

@@ -6,6 +6,7 @@ import (
 
 	"morphcache/internal/hierarchy"
 	"morphcache/internal/mem"
+	"morphcache/internal/metrics"
 )
 
 // streamCapture records the access sequence each epoch feeds the target, so
@@ -103,22 +104,62 @@ func TestStartEpochResumesStream(t *testing.T) {
 	}
 }
 
+// TestStartEpochWithWarmup runs resumed windows both through the raw
+// engine configuration and through RunWindow, whose warmup is capped at the
+// window start: a window at epoch 1 warms up on epoch 0 only, and one at
+// epoch 0 has no warmup at all.
 func TestStartEpochWithWarmup(t *testing.T) {
-	cfg := Config{EpochCycles: 10_000, Epochs: 1, WarmupEpochs: 2, StartEpoch: 3, GapInstr: 8, IssueWidth: 4, Seed: 7}
-	cap := newStreamCapture()
-	eng, err := NewFromSources(cfg, cap, FromGenerators(testGens(t, "MIX 01", 1)))
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{EpochCycles: 10_000, Epochs: 1, GapInstr: 8, IssueWidth: 4, Seed: 7}
+	cases := []struct {
+		name          string
+		run           func(Target, []Source) (*metrics.Run, error)
+		simulated     []int // absolute epochs the window must simulate
+		measuredEpoch int
+	}{
+		{"engine start 3 warmup 2", func(tg Target, srcs []Source) (*metrics.Run, error) {
+			c := cfg
+			c.StartEpoch, c.WarmupEpochs = 3, 2
+			eng, err := NewFromSources(c, tg, srcs)
+			if err != nil {
+				return nil, err
+			}
+			return eng.Run(), nil
+		}, []int{3, 4, 5}, 5},
+		{"window 5 warmup 2", func(tg Target, srcs []Source) (*metrics.Run, error) {
+			return RunWindow(cfg, 5, 2, 1, tg, srcs)
+		}, []int{3, 4, 5}, 5},
+		{"window 1 warmup 2 (capped)", func(tg Target, srcs []Source) (*metrics.Run, error) {
+			return RunWindow(cfg, 1, 2, 1, tg, srcs)
+		}, []int{0, 1}, 1},
+		{"window 0 warmup 2 (capped)", func(tg Target, srcs []Source) (*metrics.Run, error) {
+			return RunWindow(cfg, 0, 2, 1, tg, srcs)
+		}, []int{0}, 0},
 	}
-	run := eng.Run()
-	// Absolute epochs 3 and 4 warm up, 5 is measured.
-	for _, e := range []int{3, 4, 5} {
-		if len(cap.byEpoch[e]) == 0 {
-			t.Fatalf("absolute epoch %d not simulated (have %v)", e, cap.byEpoch)
-		}
-	}
-	if len(run.Epochs) != 1 || run.Epochs[0].Index != 0 {
-		t.Fatalf("measured epochs %+v", run.Epochs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cap := newStreamCapture()
+			run, err := tc.run(cap, FromGenerators(testGens(t, "MIX 01", 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cap.byEpoch) != len(tc.simulated) {
+				t.Fatalf("simulated %d epochs, want %v", len(cap.byEpoch), tc.simulated)
+			}
+			for _, e := range tc.simulated {
+				if len(cap.byEpoch[e]) == 0 {
+					t.Fatalf("absolute epoch %d not simulated (have %d epochs)", e, len(cap.byEpoch))
+				}
+			}
+			if len(run.Epochs) != 1 || run.Epochs[0].Index != 0 {
+				t.Fatalf("measured epochs %+v", run.Epochs)
+			}
+			// The measured epoch is the window's last: its stream is the
+			// full run's epoch measuredEpoch, not a warmup epoch's.
+			last := tc.simulated[len(tc.simulated)-1]
+			if last != tc.measuredEpoch {
+				t.Fatalf("last simulated epoch %d, want measured epoch %d", last, tc.measuredEpoch)
+			}
+		})
 	}
 }
 
@@ -127,5 +168,14 @@ func TestStartEpochValidation(t *testing.T) {
 	cfg.StartEpoch = -1
 	if _, err := NewFromSources(cfg, newStreamCapture(), FromGenerators(testGens(t, "MIX 01", 1))); err == nil {
 		t.Fatal("negative StartEpoch accepted")
+	}
+	for _, tc := range []struct{ start, warmup, epochs int }{
+		{-1, 0, 1}, // window before the run
+		{2, -1, 1}, // negative warmup
+		{2, 1, 0},  // no measured epochs
+	} {
+		if _, err := RunWindow(testConfig(), tc.start, tc.warmup, tc.epochs, newStreamCapture(), FromGenerators(testGens(t, "MIX 01", 1))); err == nil {
+			t.Fatalf("RunWindow(start %d, warmup %d, epochs %d) accepted", tc.start, tc.warmup, tc.epochs)
+		}
 	}
 }

@@ -19,6 +19,7 @@
 //	internal/baselines  pipp, dsr, offline
 //	internal/workload   Table 4/5 benchmark models and mixes
 //	internal/sim        epoch-based engine and metrics
+//	internal/zoo        the policy vocabulary: one name, one fresh target
 //
 // The quickstart example (examples/quickstart) shows typical use:
 //
@@ -33,9 +34,7 @@ import (
 	"fmt"
 	"time"
 
-	"morphcache/internal/baselines/dsr"
 	"morphcache/internal/baselines/offline"
-	"morphcache/internal/baselines/pipp"
 	"morphcache/internal/core"
 	"morphcache/internal/fault"
 	"morphcache/internal/hierarchy"
@@ -46,6 +45,7 @@ import (
 	"morphcache/internal/telemetry"
 	"morphcache/internal/topology"
 	"morphcache/internal/workload"
+	"morphcache/internal/zoo"
 )
 
 // Config sizes one experiment. The zero value is not valid; start from
@@ -305,40 +305,16 @@ func fromRun(r *metrics.Run) *Result {
 // RunStatic runs the workload on a fixed (x:y:z) topology with the paper's
 // idealized static latencies.
 func RunStatic(c Config, spec string, w Workload) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
+	if !zoo.Static(spec) {
+		return nil, fmt.Errorf("morphcache: RunStatic needs an (x:y:z) topology, got %q", spec)
 	}
-	if err := c.rejectBandit("RunStatic"); err != nil {
-		return nil, err
-	}
-	if c.Sampled != nil {
-		return runSampled(c, w, "static", spec)
-	}
-	gens, err := w.Generators(c)
-	if err != nil {
-		return nil, err
-	}
-	sc, tl := c.instrumented()
-	run, err := sim.RunStatic(sc, c.Params(), spec, gens)
-	if err != nil {
-		return nil, err
-	}
-	res := fromRun(run)
-	res.Telemetry = tl
-	return res, nil
+	return c.runEntry("RunStatic", spec, w)
 }
 
 // RunMorphCache runs the workload under the MorphCache controller
 // (starting all-private, remote-hit charging on).
 func RunMorphCache(c Config, w Workload) (*Result, error) {
-	if c.Sampled != nil {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		return runSampled(c, w, "morph", "")
-	}
-	res, _, err := RunMorphCacheWithController(c, w)
-	return res, err
+	return c.runEntry("RunMorphCache", "morph", w)
 }
 
 // RunMorphCacheWithController is RunMorphCache plus the controller for
@@ -350,15 +326,11 @@ func RunMorphCacheWithController(c Config, w Workload) (*Result, *core.Controlle
 	if c.Sampled != nil {
 		return nil, nil, fmt.Errorf("morphcache: RunMorphCacheWithController does not support sampled runs (one controller per representative window); use RunMorphCache")
 	}
-	if c.Bandit != nil {
-		return nil, nil, fmt.Errorf("morphcache: RunMorphCacheWithController does not support bandit runs (one controller per arm window, and only for windows that pick a morph arm); use RunBandit and inspect Result.BanditReport")
-	}
-	ctrl := core.New(c.Morph)
-	res, err := runControlled(c, w, ctrl)
+	res, target, err := c.run("RunMorphCacheWithController", "morph", w)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, ctrl, nil
+	return res, target.(*sim.HierarchyTarget).Policy.(*core.Controller), nil
 }
 
 // RunMorphCacheNoDegrade runs the MorphCache controller with its
@@ -367,102 +339,96 @@ func RunMorphCacheWithController(c Config, w Workload) (*Result, *core.Controlle
 // dead bus links as if the machine were healthy. On a fault-free
 // configuration it behaves identically to RunMorphCache.
 func RunMorphCacheNoDegrade(c Config, w Workload) (*Result, error) {
-	if c.Sampled != nil {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		return runSampled(c, w, "morph-nodegrade", "")
-	}
-	ctrl := core.New(c.Morph)
-	ctrl.SetDegradation(false)
-	return runControlled(c, w, ctrl)
-}
-
-func runControlled(c Config, w Workload, ctrl *core.Controller) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.rejectBandit("RunMorphCache"); err != nil {
-		return nil, err
-	}
-	gens, err := w.Generators(c)
-	if err != nil {
-		return nil, err
-	}
-	sc, tl := c.instrumented()
-	run, err := sim.RunPolicy(sc, c.Params(), ctrl, gens)
-	if err != nil {
-		return nil, err
-	}
-	res := fromRun(run)
-	res.Telemetry = tl
-	return res, nil
+	return c.runEntry("RunMorphCacheNoDegrade", "morph-nodegrade", w)
 }
 
 // RunPIPP runs the workload under the PIPP baseline (shared L2 and L3,
 // promotion/insertion pseudo-partitioning).
 func RunPIPP(c Config, w Workload) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.rejectBandit("RunPIPP"); err != nil {
-		return nil, err
-	}
-	if c.Sampled != nil {
-		return runSampled(c, w, "pipp", "")
-	}
-	gens, err := w.Generators(c)
-	if err != nil {
-		return nil, err
-	}
-	sc, tl := c.instrumented()
-	run, err := pipp.Run(sc, c.Params(), gens)
-	if err != nil {
-		return nil, err
-	}
-	res := fromRun(run)
-	res.Telemetry = tl
-	return res, nil
+	return c.runEntry("RunPIPP", "pipp", w)
 }
 
 // RunDSR runs the workload under the DSR baseline (private slices with
 // dynamic spill-receive at both levels).
 func RunDSR(c Config, w Workload) (*Result, error) {
+	return c.runEntry("RunDSR", "dsr", w)
+}
+
+// runEntry is run for the entry points that return no target.
+func (c Config) runEntry(entry, policy string, w Workload) (*Result, error) {
+	res, _, err := c.run(entry, policy, w)
+	return res, err
+}
+
+// run is the facade's one run path: every entry point and RunSpec lands
+// here. It validates the configuration, chooses the run mode — the bandit
+// meta-policy, sampled windows, or one full run — builds every target
+// through the policy zoo, drives the engine, and converts the outcome.
+// policy is a zoo name or "bandit"; entry names the caller in errors. A
+// full run also returns its target for post-run inspection (nil for the
+// windowed modes, which build one target per window).
+func (c Config) run(entry, policy string, w Workload) (*Result, sim.Target, error) {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := c.rejectBandit("RunDSR"); err != nil {
-		return nil, err
+	switch {
+	case policy == "bandit":
+		res, err := c.runBandit(w)
+		return res, nil, err
+	case c.Bandit != nil:
+		// A Config.Bandit that would be silently ignored is a configuration
+		// error, not a no-op.
+		return nil, nil, fmt.Errorf("morphcache: %s ignores Bandit configs; use RunBandit (or Policy %q)", entry, "bandit")
+	case c.Sampled != nil:
+		res, err := c.runSampled(w, policy)
+		return res, nil, err
 	}
-	if c.Sampled != nil {
-		return runSampled(c, w, "dsr", "")
+	target, err := c.target(policy)
+	if err != nil {
+		return nil, nil, err
 	}
+	srcs, err := c.sources(w)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc, tl := c.instrumented()
+	eng, err := sim.NewFromSources(sc, target, srcs)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := fromRun(eng.Run())
+	res.Telemetry = tl
+	return res, target, nil
+}
+
+// target builds a fresh target for a zoo policy name on the configured
+// machine.
+func (c Config) target(policy string) (sim.Target, error) {
+	return zoo.Target(c.Params(), c.Morph, policy)
+}
+
+// sources builds fresh reference sources for the workload.
+func (c Config) sources(w Workload) ([]sim.Source, error) {
 	gens, err := w.Generators(c)
 	if err != nil {
 		return nil, err
 	}
-	sc, tl := c.instrumented()
-	run, err := dsr.Run(sc, c.Params(), gens)
-	if err != nil {
-		return nil, err
-	}
-	res := fromRun(run)
-	res.Telemetry = tl
-	return res, nil
+	return sim.FromGenerators(gens), nil
 }
 
 // RunSpec names one independent simulation job for RunBatch: a workload
 // under a policy, optionally with its own configuration.
 type RunSpec struct {
-	// Policy selects the management scheme: a static "(x:y:z)" spec,
-	// "morph", "morph-nodegrade" (MorphCache with graceful degradation
-	// off — the fault-experiment strawman), "pipp", "dsr", or "bandit"
+	// Policy selects the management scheme: any name of the policy zoo
+	// (internal/zoo) — a static "(x:y:z)" spec, "morph", "morph-nodegrade"
+	// (MorphCache with graceful degradation off — the fault-experiment
+	// strawman), the other "morph-*" variants, "pipp", "dsr" — or "bandit"
 	// (the meta-policy over Config.Bandit's arm zoo).
 	Policy string
 	// Workload is the mix or PARSEC application to run.
 	Workload Workload
-	// Morph, when non-nil, overrides the controller options for a "morph"
-	// job (QoS, conflict policy, §5.5 extensions, ...).
+	// Morph, when non-nil, overrides the controller options for the job's
+	// MorphCache controllers (QoS, conflict policy, §5.5 extensions, ...).
 	Morph *core.Options
 	// Config, when non-nil, overrides the batch configuration for this job
 	// (sensitivity sweeps vary seeds, epoch lengths, and scales per job).
@@ -492,26 +458,10 @@ func (s RunSpec) run(cfg Config, o *obs.Observer) (*Result, error) {
 	if o != nil {
 		c.Observer = o
 	}
-	switch s.Policy {
-	case "morph":
-		if s.Morph != nil {
-			c.Morph = *s.Morph
-		}
-		return RunMorphCache(c, s.Workload)
-	case "morph-nodegrade":
-		if s.Morph != nil {
-			c.Morph = *s.Morph
-		}
-		return RunMorphCacheNoDegrade(c, s.Workload)
-	case "pipp":
-		return RunPIPP(c, s.Workload)
-	case "dsr":
-		return RunDSR(c, s.Workload)
-	case "bandit":
-		return RunBandit(c, s.Workload)
-	default:
-		return RunStatic(c, s.Policy, s.Workload)
+	if s.Morph != nil {
+		c.Morph = *s.Morph
 	}
+	return c.runEntry(fmt.Sprintf("Policy %q", s.Policy), s.Policy, s.Workload)
 }
 
 // JobEvent reports one completed batch job to a BatchOptions.Progress

@@ -3,13 +3,8 @@ package morphcache
 import (
 	"fmt"
 
-	"morphcache/internal/baselines/dsr"
-	"morphcache/internal/baselines/pipp"
-	"morphcache/internal/core"
-	"morphcache/internal/hierarchy"
 	"morphcache/internal/sampled"
 	"morphcache/internal/sim"
-	"morphcache/internal/topology"
 )
 
 // SampledConfig configures sampled simulation (see internal/sampled and
@@ -42,18 +37,11 @@ func FastSampledConfig(windowCycles uint64) SampledConfig {
 // runSampled executes one sampled run: it profiles the workload (cached
 // across the batch — profiles are policy-independent), clusters the
 // measured epochs, and simulates one representative window per phase on a
-// fresh target. policy is the RunSpec policy vocabulary; staticSpec is the
-// "(x:y:z)" topology for static runs.
-func runSampled(c Config, w Workload, policy, staticSpec string) (*Result, error) {
+// fresh target of the named zoo policy.
+func (c Config) runSampled(w Workload, policy string) (*Result, error) {
 	f := sampled.Factories{
-		NewTarget: func() (sim.Target, error) { return c.sampledTarget(policy, staticSpec) },
-		NewSources: func() ([]sim.Source, error) {
-			gens, err := w.Generators(c)
-			if err != nil {
-				return nil, err
-			}
-			return sim.FromGenerators(gens), nil
-		},
+		NewTarget:  func() (sim.Target, error) { return c.target(policy) },
+		NewSources: func() ([]sim.Source, error) { return c.sources(w) },
 	}
 	key := fmt.Sprintf("%s|c%d|x%d|cy%d", w.String(), c.Cores, c.Scale, c.EpochCycles)
 	rr, err := sampled.Run(c.simConfig(), *c.Sampled, key, f)
@@ -66,40 +54,4 @@ func runSampled(c Config, w Workload, policy, staticSpec string) (*Result, error
 		res.Telemetry = rr.Log
 	}
 	return res, nil
-}
-
-// sampledTarget builds a fresh simulation target for one representative
-// window. Each window gets its own hierarchy and controller — windows share
-// nothing mutable, exactly like batch jobs — so every window starts from
-// the same initial state the full run starts from.
-func (c Config) sampledTarget(policy, staticSpec string) (sim.Target, error) {
-	p := c.Params()
-	switch policy {
-	case "morph", "morph-nodegrade":
-		p.ChargeRemote = true
-		sys, err := hierarchy.New(p, topology.AllPrivate(p.Cores))
-		if err != nil {
-			return nil, err
-		}
-		ctrl := core.New(c.Morph)
-		if policy == "morph-nodegrade" {
-			ctrl.SetDegradation(false)
-		}
-		return &sim.HierarchyTarget{Sys: sys, Policy: ctrl}, nil
-	case "pipp":
-		return pipp.New(p, pipp.DefaultOptions()), nil
-	case "dsr":
-		return dsr.New(p, dsr.DefaultOptions()), nil
-	default:
-		topo, err := topology.FromSpec(staticSpec, p.Cores)
-		if err != nil {
-			return nil, err
-		}
-		p.ChargeRemote = false
-		sys, err := hierarchy.New(p, topo)
-		if err != nil {
-			return nil, err
-		}
-		return &sim.HierarchyTarget{Sys: sys, Policy: sim.NopPolicy{Label: staticSpec}}, nil
-	}
 }
