@@ -57,9 +57,9 @@ type DecisionRecord struct {
 // defaultAuditCapacity is the ring size when ObsConfig.AuditCapacity is 0.
 const defaultAuditCapacity = 256
 
-// auditRing retains the last cap decisions. Push happens at epoch
-// boundaries (all shard locks held); snapshot happens on /decisions
-// scrapes, so a plain mutex costs nothing on the access path.
+// auditRing retains the last cap decisions. Push happens in an epoch
+// boundary's decision step (no shard lock held); snapshot happens on
+// /decisions scrapes, so a plain mutex costs nothing on the access path.
 type auditRing struct {
 	mu  sync.Mutex
 	buf []DecisionRecord
@@ -112,9 +112,9 @@ func (a *auditRing) total() uint64 {
 }
 
 // auditRecorder adapts the Cache to telemetry.Recorder: the controller
-// mirrors every applied operation here (from EndEpoch, all shard locks
-// held), and the recorder turns it into an audit record, a live event,
-// and an always-on decision log line.
+// mirrors every operation it decides here (from EndEpoch's decision step,
+// under epochMu with no shard lock held), and the recorder turns it into
+// an audit record, a live event, and an always-on decision log line.
 type auditRecorder struct{ c *Cache }
 
 var _ telemetry.Recorder = auditRecorder{}
@@ -127,7 +127,7 @@ func (a auditRecorder) RecordEpoch(telemetry.EpochRecord) {}
 func (a auditRecorder) RecordReconfig(ev telemetry.ReconfigEvent) {
 	c := a.c
 	// The controller emits immediately after the SetTopology call that
-	// applied the operation, so the delta the machine stashed there
+	// planned the operation, so the delta the machine stashed there
 	// belongs to this event. Consume it; an event with no topology change
 	// (none exist today in serve mode) would carry no delta.
 	delta := c.pendingDelta
@@ -163,8 +163,8 @@ type sseEvent struct {
 
 // eventHub fans live events (decision, degraded, stall) out to /events
 // subscribers. Publishing never blocks: a subscriber that cannot keep up
-// loses events rather than stalling an epoch boundary that holds every
-// shard lock.
+// loses events rather than stalling an epoch boundary (the stall event is
+// published from the epoch cut, which holds every shard lock).
 type eventHub struct {
 	mu   sync.Mutex
 	subs map[chan sseEvent]struct{}

@@ -106,9 +106,10 @@ func BenchmarkServeSetWAL(b *testing.B) {
 // (FsyncNever): quiet, where the controller keeps the grouping and the
 // boundary logs one marker; and repartition, where every epoch regroups
 // slots alpha holds lines in, evicts what the regrouping strands, rotates
-// the log and writes the compaction snapshot. The ledger measures the
-// whole call; only its controller, eviction and marker part holds the
-// shard locks.
+// the log and writes the compaction snapshot. ns/op is the whole call;
+// max-stall-ns is the longest Get a probe goroutine, cycling through one
+// key on every shard for the whole run, waited — the worst a request
+// waits on an epoch boundary (the cut, one shard's sweep or capture).
 func BenchmarkServeEndEpoch(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -133,16 +134,44 @@ func BenchmarkServeEndEpoch(b *testing.B) {
 			}
 			defer c.Close()
 			val := []byte("payload-0123456789abcdef")
+			probe := make([]string, cfg.Shards)
 			for i := 0; i < 4096; i++ {
-				if err := c.Set("alpha", fmt.Sprintf("user/%04d/profile", i), val); err != nil {
+				key := fmt.Sprintf("user/%04d/profile", i)
+				if err := c.Set("alpha", key, val); err != nil {
 					b.Fatal(err)
 				}
+				if sh := int(hashKey(key)>>48) & (cfg.Shards - 1); probe[sh] == "" {
+					probe[sh] = key
+				}
 			}
+			stop := make(chan struct{})
+			worst := make(chan time.Duration)
+			go func() {
+				var max time.Duration
+				for {
+					for _, key := range probe {
+						start := time.Now()
+						c.Get("alpha", key)
+						if d := time.Since(start); d > max {
+							max = d
+						}
+					}
+					select {
+					case <-stop:
+						worst <- max
+						return
+					default:
+					}
+				}
+			}()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.EndEpoch()
 			}
+			b.StopTimer()
+			close(stop)
+			b.ReportMetric(float64(<-worst), "max-stall-ns")
 		})
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // Serve-layer chaos (DESIGN.md §14.4). A fault.Plan built by
 // fault.NewServePlan (or by hand) schedules three event kinds against the
-// serving path, applied at epoch boundaries with every shard lock held:
+// serving path, applied by each epoch boundary's cut — the microsecond
+// step that holds every shard lock — before the controller decides:
 //
 //   - fault.ShardStall: Events[i].Slice names a shard that sheds every
 //     operation with ErrShardStalled for Duration epochs.
@@ -25,8 +26,8 @@ var (
 	errDiskInjected = errors.New("serve: injected disk full")
 )
 
-// applyFaultsLocked advances fault state at an epoch boundary (all shard
-// locks held, c.epoch already incremented): expires stall and WAL-failure
+// applyFaultsLocked advances fault state in the epoch cut (every shard
+// lock held, c.epoch already incremented): expires stall and WAL-failure
 // windows, then applies the events scheduled for the new epoch.
 func (c *Cache) applyFaultsLocked() {
 	if c.flt == nil {

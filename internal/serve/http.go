@@ -253,12 +253,12 @@ type TopologyStatus struct {
 
 // Status snapshots the partition map (also served as GET /topology).
 func (c *Cache) Status() TopologyStatus {
-	c.shards[0].mu.Lock()
-	g := c.topo.L2
+	topo := c.published()
+	g := topo.L2
 	st := TopologyStatus{
 		Policy: c.policy.Name(),
-		Spec:   c.topo.Spec(),
-		Epoch:  c.epoch,
+		Spec:   topo.Spec(),
+		Epoch:  c.Epoch(),
 		Slots:  c.cfg.Slots,
 		Shards: len(c.shards),
 	}
@@ -277,7 +277,6 @@ func (c *Cache) Status() TopologyStatus {
 			OccupancyLines: c.occupancy[slot].Load(),
 		})
 	}
-	c.shards[0].mu.Unlock()
 	return st
 }
 

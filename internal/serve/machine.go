@@ -6,7 +6,6 @@ import (
 	"morphcache/internal/acfv"
 	"morphcache/internal/core"
 	"morphcache/internal/hierarchy"
-	"morphcache/internal/mem"
 	"morphcache/internal/topology"
 )
 
@@ -16,9 +15,10 @@ import (
 // L2/L3 coupling rules are trivially satisfied: an L3 merge and the L2
 // merge it enables both resolve to the same partition change.
 //
-// Every method is called only from Cache.EndEpoch, with all shard locks
-// held — signal reads and topology mutation are serialized against the
-// access path.
+// The machine is a plan: every method is called only from EndEpoch's
+// decision step, under epochMu with no shard lock held. Its signals read
+// the vectors and miss counts the epoch cut swapped out, and its topology
+// is Cache.plan, which EndEpoch rolls out to the shards afterwards.
 type machine struct{ c *Cache }
 
 var _ core.Machine = machine{}
@@ -26,17 +26,13 @@ var _ core.Machine = machine{}
 // Cores implements core.Machine: slots are the cores.
 func (m machine) Cores() int { return m.c.cfg.Slots }
 
-// Topology implements core.Machine.
-func (m machine) Topology() topology.Topology { return m.c.topo }
+// Topology implements core.Machine: the planned topology.
+func (m machine) Topology() topology.Topology { return m.c.plan }
 
-// SetTopology implements core.Machine: it swaps the partition map and
-// evicts every line the new map strands outside its owner's partition
-// (the serving analogue of the hierarchy's inclusion enforcement on
-// shrink; merges strand nothing). A stranded line sits in a slot of its
-// owner's old group that the new group lacks, and that slot's own mask
-// must then have changed too; so only the slices of slots whose mask
-// changed are scanned, sets × ways per shard, and they yield the same
-// evictions as a scan of every shard's whole store.
+// SetTopology implements core.Machine: it validates t, stashes the
+// per-tenant slot delta for the decision audit record, counts the
+// repartition and makes t the plan. No line moves until EndEpoch rolls
+// the plan out (Cache.applyTopology).
 func (m machine) SetTopology(t topology.Topology) error {
 	c := m.c
 	if t.L2.N() != c.cfg.Slots || t.L3.N() != c.cfg.Slots {
@@ -45,10 +41,9 @@ func (m machine) SetTopology(t topology.Topology) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	// Stash the per-tenant granted-slot delta for the decision audit
-	// record: the controller emits its reconfiguration event right after
-	// this call returns, and the recorder attaches the delta to it.
-	old := c.topo.L2
+	// The controller emits its reconfiguration event right after this call
+	// returns, and the recorder attaches the delta to it.
+	old := c.plan.L2
 	var delta map[string]int
 	for slot, name := range c.names {
 		if name == "" {
@@ -64,36 +59,8 @@ func (m machine) SetTopology(t topology.Topology) error {
 		}
 	}
 	c.pendingDelta = delta
-	var oldMask [32]uint32 // Slots ≤ 32
-	copy(oldMask[:], c.partMask)
-	c.topo = t
-	c.computePartMask()
-	for phys, mask := range c.partMask {
-		if mask == oldMask[phys] {
-			continue
-		}
-		bit := uint32(1) << uint(phys)
-		for _, sh := range c.shards {
-			sl := sh.slices[phys]
-			for set := 0; set < sl.Sets(); set++ {
-				for way := 0; way < sl.Ways(); way++ {
-					e := sl.Entry(set, way)
-					owner := int(e.ASID) - 1
-					if !e.Valid || c.partMask[owner]&bit != 0 {
-						continue
-					}
-					sl.InvalidateWay(set, way)
-					gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
-					sh.pres.Clear(gl, bit)
-					delete(sh.store, gl)
-					c.occupancy[owner].Add(-1)
-					c.met.evict(owner, "repartition")
-				}
-			}
-		}
-	}
+	c.plan = t
 	c.met.repartition()
-	c.met.setPartitionGauges()
 	return nil
 }
 
@@ -107,7 +74,7 @@ func (m machine) CoresUtilization(_ hierarchy.Level, cores []int) float64 {
 	ones := 0
 	for _, sh := range c.shards {
 		for _, s := range cores {
-			ones += sh.vecs[s].Ones()
+			ones += sh.spare[s].Ones()
 		}
 	}
 	capLines := len(cores) * c.slotLines * len(c.shards)
@@ -128,10 +95,10 @@ func (m machine) CoresOverlap(_ hierarchy.Level, a, b []int) float64 {
 	vb := make([]*acfv.Vector, len(b))
 	for _, sh := range c.shards {
 		for i, s := range a {
-			va[i] = sh.vecs[s]
+			va[i] = sh.spare[s]
 		}
 		for i, s := range b {
-			vb[i] = sh.vecs[s]
+			vb[i] = sh.spare[s]
 		}
 		ua, ub := acfv.Union(va...), acfv.Union(vb...)
 		common += acfv.Overlap(ua, ub)
@@ -165,15 +132,10 @@ func (m machine) SlicesShareASID(slices ...[]int) bool {
 	return ref >= 0
 }
 
-// PerCoreMisses implements core.Machine (the §5.3 QoS signal).
-func (m machine) PerCoreMisses() []uint64 {
-	c := m.c
-	out := make([]uint64, c.cfg.Slots)
-	for i := range out {
-		out[i] = c.misses[i].Load()
-	}
-	return out
-}
+// PerCoreMisses implements core.Machine (the §5.3 QoS signal): the
+// cumulative per-slot misses at the epoch cut. The slice is reused at the
+// next cut.
+func (m machine) PerCoreMisses() []uint64 { return m.c.missSnap }
 
 // HasFaults implements core.Machine; the serving path injects none.
 func (m machine) HasFaults() bool { return false }

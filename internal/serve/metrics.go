@@ -178,8 +178,8 @@ func (m *metrics) reqObserve(slot, op int, us uint64) {
 }
 
 // setPartitionGauges refreshes every tenant's granted-capacity gauge from
-// the current topology. Called at construction and after each
-// repartition (with the shard locks held).
+// the published topology. Called at construction and after each
+// rollout (epochMu held, or during replay).
 func (m *metrics) setPartitionGauges() {
 	c := m.c
 	g := c.topo.L2

@@ -125,12 +125,9 @@ func (c *Cache) applyReplay(r wal.Record) error {
 			// restored; values still replay into default partitions.
 			return wal.SkipRecord
 		}
-		if g.Equal(c.topo.L2) {
-			return nil
-		}
-		t := topology.Topology{L2: g, L3: g}
-		if err := (machine{c}).SetTopology(t); err != nil {
-			return wal.SkipRecord
+		if !g.Equal(c.topo.L2) {
+			c.applyTopology(topology.Topology{L2: g, L3: g})
+			c.met.repartition()
 		}
 	case wal.KindSnapshotEnd:
 		// Compaction bracket; nothing to apply.
@@ -159,15 +156,16 @@ func (c *Cache) walFailed() {
 	}
 }
 
-// walEndEpochLocked persists the epoch boundary (all shard locks held):
-// it appends a marker carrying the grouping — the recovery probe, whose
-// success in degraded mode lifts the server back to read-write — and, if
-// the epoch repartitioned capacity, rotates the log for a compaction.
-// The marker comes first, so the new grants survive a restart even if the
-// snapshot is never written. The returned compaction, if any, is
-// finished by walSnapshot once the shard locks are released.
-func (c *Cache) walEndEpochLocked(reconfigs int) *wal.Compaction {
-	state := encodeGrouping(c.topo.L2)
+// walEndEpoch is EndEpoch's log step, run with no shard lock held (the
+// log has its own mutex): it appends a marker carrying the planned
+// grouping — the recovery probe, whose success in degraded mode lifts the
+// server back to read-write — and, if the grouping changed, rotates the
+// log for a compaction. Both come before any shard regroups: the new
+// grants survive a restart even if the snapshot is never written, and
+// the rotation precedes every shard's capture. The returned compaction,
+// if any, is finished by walSnapshot after the rollout.
+func (c *Cache) walEndEpoch(regrouped bool) *wal.Compaction {
+	state := encodeGrouping(c.plan.L2)
 	if err := c.wal.Append(wal.Record{Kind: wal.KindEpoch, Epoch: uint64(c.epoch), Value: state}); err != nil {
 		c.walFailed()
 		return nil
@@ -176,7 +174,7 @@ func (c *Cache) walEndEpochLocked(reconfigs int) *wal.Compaction {
 	c.walFails.Store(0)
 	c.setDegraded(false)
 	var cp *wal.Compaction
-	if reconfigs > 0 {
+	if regrouped {
 		var err error
 		if cp, err = c.wal.BeginCompact(uint64(c.epoch), state); err != nil {
 			c.walFailed()
@@ -187,7 +185,7 @@ func (c *Cache) walEndEpochLocked(reconfigs int) *wal.Compaction {
 }
 
 // walSnapshot writes a repartition's compaction snapshot once EndEpoch
-// has released the shard locks.
+// has rolled the new grouping out.
 func (c *Cache) walSnapshot(cp *wal.Compaction) {
 	if err := cp.Write(c.streamSnapshot); err != nil {
 		c.walFailed()
@@ -198,30 +196,28 @@ func (c *Cache) walSnapshot(cp *wal.Compaction) {
 }
 
 // streamSnapshot emits every live entry, capturing one shard at a time
-// under only that shard's lock into one reused per-shard buffer, and
-// emitting with no lock held. The capture is fuzzy — each shard is read
+// under only that shard's lock into c.snapBuf (epochMu held), and
+// emitting with no lock held. The buffer holds one shard's line capacity,
+// so a capture never grows it. The capture is fuzzy — each shard is read
 // at its own instant after the log rotation — and sound because every
 // mutation after the rotation is logged in the live segment, which
 // replays after the snapshot, and the last record for a key wins
 // (DESIGN.md §14).
 func (c *Cache) streamSnapshot(emit func(tenant, key string, value []byte) error) error {
-	type snapEntry struct {
-		tenant string
-		entry
-	}
-	var buf []snapEntry
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		buf = buf[:0]
+		buf := c.snapBuf[:0]
 		for gl, e := range sh.store {
 			buf = append(buf, snapEntry{c.names[int(gl.ASID)-1], e})
 		}
 		sh.mu.Unlock()
+		c.snapBuf = buf
 		for _, e := range buf {
 			if err := emit(e.tenant, e.key, e.val); err != nil {
 				return err
 			}
 		}
+		clear(buf) // drop the value references until the next capture
 	}
 	return nil
 }

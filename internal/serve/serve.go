@@ -25,9 +25,11 @@
 //
 // Concurrency: keys hash across shards; each shard owns a full column of
 // per-slot slices, a PresenceIndex (the PR-5 allocation-free line→owner
-// map), and a value store, all under one mutex. Reconfiguration takes
-// every shard lock, so the access path never sees a half-applied
-// topology.
+// map), a value store and its own copy of the partition masks, all under
+// one mutex. An epoch boundary holds every shard lock only for a
+// microsecond cut; the controller decides with no shard lock held, and
+// the new grouping rolls out one shard at a time, so each shard is always
+// self-consistent and a request waits at most for one shard's sweep.
 package serve
 
 import (
@@ -201,11 +203,23 @@ type shard struct {
 	pres *hierarchy.PresenceIndex
 	// store holds the values, keyed by ASID-qualified line hash.
 	store map[mem.GlobalLine]entry
+	// partMask[slot] is the slot's group mask under the grouping this
+	// shard has rolled out; the access path reads it on every request.
+	partMask []uint32
 	// vecs[slot] is the homed tenant's ACFV for this shard's traffic.
-	vecs []*acfv.Vector
+	// spare is the reset set the epoch cut swaps in; after the swap it
+	// holds the closed epoch's vectors, which the decision reads and then
+	// resets with no lock held (the access path never touches spare).
+	vecs, spare []*acfv.Vector
 	// stall is the count of epochs this shard keeps shedding operations
 	// with ErrShardStalled (injected fault; guarded by mu).
 	stall int
+}
+
+// snapEntry is one live entry captured for a compaction snapshot.
+type snapEntry struct {
+	tenant string
+	entry
 }
 
 // Cache is the policy-governed multi-tenant cache.
@@ -217,18 +231,29 @@ type Cache struct {
 	// slotLines is one slice's line capacity (per shard, per slot).
 	slotLines int
 
-	// topo and partMask are the current partitioning; both levels mirror
-	// one grouping. Written only with every shard lock held; read under
-	// any one shard lock.
-	topo     topology.Topology
-	partMask []uint32
-	epoch    int
+	// topo is the published partitioning (both levels mirror one
+	// grouping): written with epochMu and topoMu held once every shard has
+	// rolled it out, read under topoMu. The shards' partMask copies are
+	// what the access path obeys.
+	topoMu sync.Mutex
+	topo   topology.Topology
+	// epoch is written only during the epoch cut (every shard lock held)
+	// and read under any one shard lock.
+	epoch int
 
 	policy   core.Policy
 	draining atomic.Bool
-	// epochMu serializes EndEpoch, including the snapshot it writes after
-	// releasing the shard locks, against other epochs and Close.
+	// epochMu serializes EndEpoch, from its cut to its snapshot, against
+	// other epochs and Close. It guards the decision state below.
 	epochMu sync.Mutex
+	// plan is the grouping the policy is deciding on: machine reads and
+	// writes it instead of topo, and EndEpoch rolls it out afterwards.
+	// missSnap is the cut's copy of misses (the PerCoreMisses signal).
+	// snapBuf is the compaction capture buffer, sized at New to one
+	// shard's line capacity so a capture never grows it under a shard lock.
+	plan     topology.Topology
+	missSnap []uint64
+	snapBuf  []snapEntry
 
 	// occupancy[slot] counts the tenant's resident lines across shards
 	// (atomic so metric scrapes read without locks).
@@ -248,8 +273,8 @@ type Cache struct {
 	// adm is the HTTP admission controller (nil when no limit is set).
 	adm *admission
 	// flt is the serve-layer fault plan; walInjUntil is the epoch at
-	// which an injected WAL failure window closes (both read/written
-	// only with every shard lock held).
+	// which an injected WAL failure window closes (both used only by the
+	// epoch cut).
 	flt         *fault.Plan
 	walInjUntil int
 
@@ -261,9 +286,9 @@ type Cache struct {
 	// behind that one nil check so the disabled path stays 0 allocs/op.
 	// slog carries the always-on decision/degradation/fault lines (nil =
 	// off); now is the injectable wall clock. pendingDelta is the
-	// per-tenant granted-slot delta of the topology swap in flight,
-	// stashed by machine.SetTopology for the recorder that fires next
-	// (only touched with every shard lock held).
+	// per-tenant granted-slot delta of the planned topology swap, stashed
+	// by machine.SetTopology for the recorder that fires next (only
+	// touched during the decision, under epochMu).
 	audit        *auditRing
 	hub          *eventHub
 	robs         *reqObs
@@ -299,10 +324,11 @@ func New(cfg Config, reg *obs.Registry) (*Cache, error) {
 		names:     make([]string, cfg.Slots),
 		shards:    make([]*shard, cfg.Shards),
 		slotLines: slotLines,
-		partMask:  make([]uint32, cfg.Slots),
+		topo:      topology.AllPrivate(cfg.Slots),
 		policy:    cfg.Policy,
 		occupancy: make([]atomic.Int64, cfg.Slots),
 		misses:    make([]atomic.Uint64, cfg.Slots),
+		missSnap:  make([]uint64, cfg.Slots),
 	}
 	for i, t := range cfg.Tenants {
 		c.tenants[t] = i
@@ -310,21 +336,23 @@ func New(cfg Config, reg *obs.Registry) (*Cache, error) {
 	}
 	for i := range c.shards {
 		sh := &shard{
-			slices: make([]*cache.Slice, cfg.Slots),
-			pres:   hierarchy.NewPresenceIndex(cfg.Slots * slotLines),
-			store:  make(map[mem.GlobalLine]entry, cfg.Slots*slotLines),
-			vecs:   make([]*acfv.Vector, cfg.Slots),
+			slices:   make([]*cache.Slice, cfg.Slots),
+			pres:     hierarchy.NewPresenceIndex(cfg.Slots * slotLines),
+			store:    make(map[mem.GlobalLine]entry, cfg.Slots*slotLines),
+			partMask: make([]uint32, cfg.Slots),
+			vecs:     make([]*acfv.Vector, cfg.Slots),
+			spare:    make([]*acfv.Vector, cfg.Slots),
 		}
 		clock := &cache.Clock{}
 		for s := range sh.slices {
 			sh.slices[s] = cache.New(cache.Config{SizeBytes: sliceBytes, Ways: cfg.Ways, Policy: cache.LRU})
 			sh.slices[s].ShareClock(clock)
 			sh.vecs[s] = acfv.NewVector(vecWidth, acfv.XOR)
+			sh.spare[s] = acfv.NewVector(vecWidth, acfv.XOR)
 		}
+		groupMasks(c.topo.L2, sh.partMask)
 		c.shards[i] = sh
 	}
-	c.topo = topology.AllPrivate(cfg.Slots)
-	c.computePartMask()
 	c.flt = cfg.Faults
 	if cfg.Admission.enabled() {
 		c.adm = newAdmission(cfg.Admission, cfg.Slots)
@@ -348,25 +376,23 @@ func New(cfg Config, reg *obs.Registry) (*Cache, error) {
 	c.met = newMetrics(reg, c)
 	c.met.setPartitionGauges()
 	if cfg.Persist != nil {
+		c.snapBuf = make([]snapEntry, 0, cfg.Slots*slotLines)
 		if err := c.openWAL(); err != nil {
 			return nil, err
 		}
-		c.met.setPartitionGauges()
 	}
 	return c, nil
 }
 
-// computePartMask caches each slot's group mask; the access path reads it
-// on every request (under its shard lock).
-func (c *Cache) computePartMask() {
-	g := c.topo.L2
+// groupMasks fills masks[slot] with the bit mask of the slot's group.
+func groupMasks(g topology.Grouping, masks []uint32) {
 	for gi := 0; gi < g.NumGroups(); gi++ {
 		var mask uint32
 		for _, s := range g.Members(gi) {
 			mask |= 1 << uint(s)
 		}
 		for _, s := range g.Members(gi) {
-			c.partMask[s] = mask
+			masks[s] = mask
 		}
 	}
 }
@@ -439,7 +465,7 @@ func (c *Cache) get(tenant, key string, rs *reqSpans) ([]byte, error) {
 		c.met.stalled()
 		return nil, ErrShardStalled
 	}
-	mask := sh.pres.Get(gl) & c.partMask[slot]
+	mask := sh.pres.Get(gl) & sh.partMask[slot]
 	if mask == 0 {
 		c.misses[slot].Add(1)
 		sh.mu.Unlock()
@@ -538,7 +564,7 @@ func (c *Cache) set(tenant, key string, val []byte, rs *reqSpans) error {
 func (c *Cache) setLocked(sh *shard, slot, shardIdx int, h uint64, key string, val []byte) {
 	line := mem.Line(h)
 	gl := mem.GlobalLine{ASID: asidOf(slot), Line: line}
-	if mask := sh.pres.Get(gl) & c.partMask[slot]; mask != 0 {
+	if mask := sh.pres.Get(gl) & sh.partMask[slot]; mask != 0 {
 		// Overwrite in place; an aliased key is displaced (cache semantics:
 		// at most one resident value per line).
 		phys := bits.TrailingZeros32(mask)
@@ -569,7 +595,7 @@ func (c *Cache) setLocked(sh *shard, slot, shardIdx int, h uint64, key string, v
 		target = slot
 	} else {
 		var oldest uint64
-		for m := c.partMask[slot]; m != 0; m &= m - 1 {
+		for m := sh.partMask[slot]; m != 0; m &= m - 1 {
 			phys := bits.TrailingZeros32(m)
 			age, valid := sh.slices[phys].VictimAge(line)
 			if !valid {
@@ -644,7 +670,7 @@ func (c *Cache) del(tenant, key string, rs *reqSpans) error {
 	}
 	if c.wal != nil {
 		gl := mem.GlobalLine{ASID: asidOf(slot), Line: mem.Line(h)}
-		if mask := sh.pres.Get(gl) & c.partMask[slot]; mask == 0 || sh.store[gl].key != key {
+		if mask := sh.pres.Get(gl) & sh.partMask[slot]; mask == 0 || sh.store[gl].key != key {
 			return ErrNotFound
 		}
 		walSp := rs.begin("wal_append")
@@ -669,7 +695,7 @@ func (c *Cache) del(tenant, key string, rs *reqSpans) error {
 func (c *Cache) deleteLocked(sh *shard, slot, shardIdx int, h uint64, key string) bool {
 	line := mem.Line(h)
 	gl := mem.GlobalLine{ASID: asidOf(slot), Line: line}
-	mask := sh.pres.Get(gl) & c.partMask[slot]
+	mask := sh.pres.Get(gl) & sh.partMask[slot]
 	if mask == 0 || sh.store[gl].key != key {
 		return false
 	}
@@ -682,49 +708,134 @@ func (c *Cache) deleteLocked(sh *shard, slot, shardIdx int, h uint64, key string
 	return true
 }
 
-// EndEpoch closes a reconfiguration interval: with every shard locked, the
-// policy reads the epoch's ACFVs and repartitions, then the vectors reset
-// (§2.1) and the WAL logs the boundary. An epoch that repartitioned then
-// writes its compaction snapshot after the shard locks are released.
-// Epoch boundaries serialize on one mutex, which Close also takes. It
-// returns the policy's operation count and asymmetry flag.
+// EndEpoch closes a reconfiguration interval in four steps, serialized
+// against other epochs and Close by epochMu:
+//
+//  1. Cut: every shard lock is held only to bump the epoch, apply serve
+//     faults, snapshot the miss counters and swap each shard's ACFVs for
+//     its reset spare set (§2.1).
+//  2. Decide: the policy runs with no shard lock held, against the
+//     swapped-out vectors and a plan of the grouping (machine).
+//  3. Log: the WAL epoch marker carries the planned grouping and, if the
+//     grouping changed, the log rotates to start a compaction — both
+//     before any shard changes.
+//  4. Roll out: a changed grouping is applied one shard at a time and then
+//     published, and the compaction snapshot is captured and written.
+//
+// A request thus waits at most for the cut or for one shard's sweep or
+// capture, never for the decision. It returns the policy's operation
+// count and asymmetry flag.
 func (c *Cache) EndEpoch() (reconfigs int, asymmetric bool) {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
-	r, asym, cp := c.endEpochLocked()
+	r, asym, cp := c.decideEpoch()
+	if !c.plan.Equal(c.topo) {
+		c.applyTopology(c.plan)
+	}
 	if cp != nil {
 		c.walSnapshot(cp)
 	}
 	return r, asym
 }
 
-// endEpochLocked is EndEpoch's stop-the-world section: the controller
-// decision, the topology swap with its evictions, the ACFV reset and the
-// WAL epoch marker (plus, on a repartition, the log rotation that starts
-// compaction).
-func (c *Cache) endEpochLocked() (int, bool, *wal.Compaction) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for i := len(c.shards) - 1; i >= 0; i-- {
-			c.shards[i].mu.Unlock()
-		}
-	}()
-	c.epoch++
-	c.applyFaultsLocked()
+// decideEpoch runs EndEpoch's cut, decision and log steps (epochMu held),
+// leaving the decided grouping in c.plan. It returns the policy's result
+// and the compaction the log step began, if any.
+func (c *Cache) decideEpoch() (int, bool, *wal.Compaction) {
+	c.cutEpoch()
+	c.plan = c.topo
 	r, asym := c.policy.EndEpoch(c.epoch, machine{c})
 	for _, sh := range c.shards {
-		for _, v := range sh.vecs {
+		for _, v := range sh.spare {
 			v.Reset()
 		}
 	}
 	c.met.epoch(r)
 	var cp *wal.Compaction
 	if c.wal != nil {
-		cp = c.walEndEpochLocked(r)
+		cp = c.walEndEpoch(!c.plan.L2.Equal(c.topo.L2))
 	}
 	return r, asym, cp
+}
+
+// cutEpoch is the one step of an epoch boundary that holds every shard
+// lock, so the closed epoch's signals are one consistent instant.
+func (c *Cache) cutEpoch() {
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+	}
+	c.epoch++
+	c.applyFaultsLocked()
+	for i := range c.missSnap {
+		c.missSnap[i] = c.misses[i].Load()
+	}
+	for _, sh := range c.shards {
+		sh.vecs, sh.spare = sh.spare, sh.vecs
+	}
+	for i := len(c.shards) - 1; i >= 0; i-- {
+		c.shards[i].mu.Unlock()
+	}
+}
+
+// applyTopology rolls t out (epochMu held, or during replay): each shard
+// in turn swaps in the new partition masks and sweeps the lines they
+// strand under its own lock, and then t is published for Status, Spec and
+// PartitionSlots.
+func (c *Cache) applyTopology(t topology.Topology) {
+	var masks [32]uint32 // Slots ≤ 32
+	groupMasks(t.L2, masks[:c.cfg.Slots])
+	for _, sh := range c.shards {
+		c.regroupShard(sh, masks[:c.cfg.Slots])
+	}
+	c.topoMu.Lock()
+	c.topo = t
+	c.topoMu.Unlock()
+	c.met.setPartitionGauges()
+}
+
+// regroupShard moves one shard to new partition masks and evicts every
+// line they strand outside its owner's partition (the serving analogue of
+// the hierarchy's inclusion enforcement on shrink; merges strand nothing).
+// A stranded line sits in a slot of its owner's old group that the new
+// group lacks, and that slot's own mask must then have changed too; so
+// only the slices of slots whose mask changed are scanned, sets × ways,
+// and they yield the same evictions as a scan of the shard's whole store.
+// A shard already on masks sweeps nothing.
+func (c *Cache) regroupShard(sh *shard, masks []uint32) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var old [32]uint32
+	copy(old[:], sh.partMask)
+	copy(sh.partMask, masks)
+	for phys, mask := range masks {
+		if mask == old[phys] {
+			continue
+		}
+		bit := uint32(1) << uint(phys)
+		sl := sh.slices[phys]
+		for set := 0; set < sl.Sets(); set++ {
+			for way := 0; way < sl.Ways(); way++ {
+				e := sl.Entry(set, way)
+				owner := int(e.ASID) - 1
+				if !e.Valid || masks[owner]&bit != 0 {
+					continue
+				}
+				sl.InvalidateWay(set, way)
+				gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
+				sh.pres.Clear(gl, bit)
+				delete(sh.store, gl)
+				c.occupancy[owner].Add(-1)
+				c.met.evict(owner, "repartition")
+			}
+		}
+	}
+}
+
+// published returns the topology every shard has rolled out.
+func (c *Cache) published() topology.Topology {
+	c.topoMu.Lock()
+	defer c.topoMu.Unlock()
+	return c.topo
 }
 
 // RunEpochs drives EndEpoch on the configured interval until ctx ends.
@@ -763,11 +874,7 @@ func (c *Cache) Epoch() int {
 }
 
 // Spec returns the current topology spec string (e.g. "(16:1:1)").
-func (c *Cache) Spec() string {
-	c.shards[0].mu.Lock()
-	defer c.shards[0].mu.Unlock()
-	return c.topo.Spec()
-}
+func (c *Cache) Spec() string { return c.published().Spec() }
 
 // PartitionSlots returns the slots currently granted to a tenant (its
 // group's members), for introspection and tests.
@@ -776,9 +883,7 @@ func (c *Cache) PartitionSlots(tenant string) ([]int, error) {
 	if !ok {
 		return nil, ErrUnknownTenant
 	}
-	c.shards[0].mu.Lock()
-	defer c.shards[0].mu.Unlock()
-	g := c.topo.L2
+	g := c.published().L2
 	members := g.Members(g.GroupOf(slot))
 	out := make([]int, len(members))
 	copy(out, members)
