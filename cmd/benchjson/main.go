@@ -8,7 +8,8 @@
 // Repeated runs of one benchmark (-count N) are aggregated to the MINIMUM of
 // each metric — the standard noise-floor estimator; single-iteration numbers
 // jitter by multiples, which is exactly the methodology bug this replaces —
-// with the run count recorded per benchmark.
+// with the run count recorded per benchmark. A benchmark with fewer than
+// three runs is an error: a minimum of one or two is no noise floor.
 //
 // The schema is intentionally tiny: the context lines go test prints
 // (goos/goarch/pkg/cpu) plus one entry per benchmark with every reported
@@ -78,6 +79,9 @@ func main() {
 
 func run(opt options, stdin io.Reader, stdout, stderr io.Writer) int {
 	d, err := parse(stdin)
+	if err == nil {
+		err = checkCounts(d)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
@@ -93,6 +97,24 @@ func run(opt options, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// minCount is the fewest runs a min-of-N aggregate may rest on.
+const minCount = 3
+
+// checkCounts rejects a document with any benchmark aggregated from fewer
+// than minCount runs, naming each one.
+func checkCounts(d *doc) error {
+	var short []string
+	for _, b := range d.Benchmarks {
+		if b.Count < minCount {
+			short = append(short, fmt.Sprintf("%s (count %d)", b.Name, b.Count))
+		}
+	}
+	if len(short) > 0 {
+		return fmt.Errorf("min-of-N needs -count %d or more: %s", minCount, strings.Join(short, ", "))
+	}
+	return nil
 }
 
 // gateDoc applies the CI gates to an aggregated document.

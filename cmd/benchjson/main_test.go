@@ -73,10 +73,11 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestRunEmitsDeterministicJSON(t *testing.T) {
 	var a, b, errb bytes.Buffer
-	if code := run(options{}, strings.NewReader(sampleStream), &a, &errb); code != 0 {
+	in := strings.Repeat(sampleStream, 3)
+	if code := run(options{}, strings.NewReader(in), &a, &errb); code != 0 {
 		t.Fatalf("run = %d (stderr: %s)", code, errb.String())
 	}
-	if code := run(options{}, strings.NewReader(sampleStream), &b, &errb); code != 0 {
+	if code := run(options{}, strings.NewReader(in), &b, &errb); code != 0 {
 		t.Fatalf("run = %d (stderr: %s)", code, errb.String())
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -133,13 +134,13 @@ func TestParseAggregatesMinOfN(t *testing.T) {
 func TestZeroAllocsGate(t *testing.T) {
 	var out, errb bytes.Buffer
 	in := "BenchmarkAccessPath 10 100 ns/op 8 B/op 1 allocs/op\n"
-	if code := run(options{zeroAllocs: "AccessPath"}, strings.NewReader(in), &out, &errb); code != 1 {
+	if code := run(options{zeroAllocs: "AccessPath"}, strings.NewReader(strings.Repeat(in, 3)), &out, &errb); code != 1 {
 		t.Errorf("allocating access path passed the zero-allocs gate (stderr: %s)", errb.String())
 	}
 	out.Reset()
 	errb.Reset()
 	in = "BenchmarkAccessPath 10 100 ns/op 0 B/op 0 allocs/op\n"
-	if code := run(options{zeroAllocs: "AccessPath"}, strings.NewReader(in), &out, &errb); code != 0 {
+	if code := run(options{zeroAllocs: "AccessPath"}, strings.NewReader(strings.Repeat(in, 3)), &out, &errb); code != 0 {
 		t.Errorf("allocation-free run failed the gate: %s", errb.String())
 	}
 	// A matching benchmark without -benchmem data must fail loudly, not
@@ -147,7 +148,7 @@ func TestZeroAllocsGate(t *testing.T) {
 	out.Reset()
 	errb.Reset()
 	in = "BenchmarkAccessPath 10 100 ns/op\n"
-	if code := run(options{zeroAllocs: "AccessPath"}, strings.NewReader(in), &out, &errb); code != 1 {
+	if code := run(options{zeroAllocs: "AccessPath"}, strings.NewReader(strings.Repeat(in, 3)), &out, &errb); code != 1 {
 		t.Error("missing allocs/op metric passed the zero-allocs gate")
 	}
 }
@@ -161,7 +162,7 @@ func TestBaselineRegressionGate(t *testing.T) {
 	}
 	gate := func(ns string) int {
 		var out, errb bytes.Buffer
-		in := "BenchmarkAccessPath 100000 " + ns + " ns/op\n"
+		in := strings.Repeat("BenchmarkAccessPath 100000 "+ns+" ns/op\n", 3)
 		code := run(options{baseline: base, gate: "AccessPath", maxRegress: 25}, strings.NewReader(in), &out, &errb)
 		if code != 0 && errb.Len() == 0 {
 			t.Error("gate failure produced no stderr diagnostics")
@@ -181,7 +182,32 @@ func TestBaselineRegressionGate(t *testing.T) {
 	// pass.
 	var out, errb bytes.Buffer
 	in := "BenchmarkUnrelated 10 100 ns/op\n"
-	if code := run(options{baseline: base, gate: "Unrelated", maxRegress: 25}, strings.NewReader(in), &out, &errb); code != 1 {
+	if code := run(options{baseline: base, gate: "Unrelated", maxRegress: 25}, strings.NewReader(strings.Repeat(in, 3)), &out, &errb); code != 1 {
 		t.Error("comparison with zero matches must fail")
+	}
+}
+
+func TestRunRejectsFewerThanThreeRuns(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int
+	}{
+		{strings.Repeat("BenchmarkAccessPath 10 100 ns/op\n", 3), 0},
+		{strings.Repeat("BenchmarkAccessPath 10 100 ns/op\n", 3) + "BenchmarkBatchSweep 1 5000 ns/op\n", 1},
+		{strings.Repeat("BenchmarkAccessPath 10 100 ns/op\nBenchmarkBatchSweep 1 5000 ns/op\n", 2) + "BenchmarkAccessPath 10 90 ns/op\n", 1},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(options{}, strings.NewReader(tc.in), &out, &errb); code != tc.want {
+			t.Fatalf("run(%q) = %d, want %d (stderr: %s)", tc.in, code, tc.want, errb.String())
+		}
+		if tc.want == 0 {
+			continue
+		}
+		if msg := errb.String(); !strings.Contains(msg, "BenchmarkBatchSweep") || strings.Contains(msg, "BenchmarkAccessPath") {
+			t.Errorf("error names the wrong benchmarks: %s", msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("a rejected stream still produced a document: %s", out.String())
+		}
 	}
 }

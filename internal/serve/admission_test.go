@@ -259,4 +259,5 @@ func TestStatusRacesRepartition(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	checkConsistency(t, c)
 }

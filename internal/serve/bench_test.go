@@ -37,9 +37,10 @@ func benchCache(b interface{ Fatal(...any) }) (*Cache, []string) {
 	return c, keys
 }
 
-// BenchmarkServeGet is the steady-state hit path: presence probe, slice
-// lookup, LRU touch, ACFV set, sharded counter. The bench job gates it at
-// 0 allocs/op (cmd/benchjson -zero-allocs).
+// BenchmarkServeGet is the steady-state hit path: one locate, presence
+// probe and slice lookup (find), the value read from the way's cell, LRU
+// touch, ACFV set, sharded counter. The bench job gates it at 0 allocs/op
+// (cmd/benchjson -zero-allocs).
 func BenchmarkServeGet(b *testing.B) {
 	c, keys := benchCache(b)
 	b.ReportAllocs()
@@ -140,7 +141,7 @@ func BenchmarkServeEndEpoch(b *testing.B) {
 				if err := c.Set("alpha", key, val); err != nil {
 					b.Fatal(err)
 				}
-				if sh := int(hashKey(key)>>48) & (cfg.Shards - 1); probe[sh] == "" {
+				if sh := c.locate(0, key).shard; probe[sh] == "" {
 					probe[sh] = key
 				}
 			}

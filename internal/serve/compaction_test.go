@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"morphcache/internal/core"
-	"morphcache/internal/mem"
 	"morphcache/internal/topology"
 )
 
@@ -166,12 +165,11 @@ func TestPersistCompactionCrashCuts(t *testing.T) {
 // isResident reports whether live holds (tenant, key), without touching
 // its LRU position or demand vector.
 func isResident(c *Cache, tenant, key string) bool {
-	slot, h := c.tenants[tenant], hashKey(key)
-	gl := mem.GlobalLine{ASID: asidOf(slot), Line: mem.Line(h)}
-	sh := c.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.pres.Get(gl)&sh.partMask[slot] != 0 && sh.store[gl].key == key
+	t := c.locate(c.tenants[tenant], key)
+	t.sh.mu.Lock()
+	defer t.sh.mu.Unlock()
+	phys, set, way := t.sh.find(t.slot, t.gl)
+	return phys >= 0 && t.sh.cell(phys, set, way).key == key
 }
 
 func runCrashCuts(t *testing.T, run crashRun) {

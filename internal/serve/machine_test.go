@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"morphcache/internal/cache"
 	"morphcache/internal/core"
 	"morphcache/internal/mem"
 	"morphcache/internal/topology"
@@ -46,28 +47,23 @@ type shardLine struct {
 	gl    mem.GlobalLine
 }
 
-// residents lists every stored entry.
+// residents lists every resident line from the slice tags and the
+// values in their ways.
 func residents(c *Cache) map[shardLine]resident {
 	out := map[shardLine]resident{}
 	for i, sh := range c.shards {
-		for gl, e := range sh.store {
-			out[shardLine{i, gl}] = resident{c.names[int(gl.ASID)-1], e.key, trailingSlot(sh.pres.Get(gl))}
+		for phys, sl := range sh.slices {
+			sl.ForEachValid(func(set, way int, e cache.Entry) {
+				gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
+				out[shardLine{i, gl}] = resident{c.names[int(e.ASID)-1], sh.cell(phys, set, way).key, phys}
+			})
 		}
 	}
 	return out
 }
 
-func trailingSlot(mask uint32) int {
-	for s := 0; s < 32; s++ {
-		if mask&(1<<uint(s)) != 0 {
-			return s
-		}
-	}
-	return -1
-}
-
-// naiveSurvivors is the reference repartition: scan the whole store and
-// keep each line only if the new grouping puts its slot in its owner's
+// naiveSurvivors is the reference repartition: scan every resident line
+// and keep it only if the new grouping puts its slot in its owner's
 // group. It returns the survivors and the evictions per shard and owner
 // slot.
 func naiveSurvivors(before map[shardLine]resident, tenants map[string]int, g topology.Grouping) (map[shardLine]resident, map[[2]int]int64) {
@@ -84,9 +80,12 @@ func naiveSurvivors(before map[shardLine]resident, tenants map[string]int, g top
 	return kept, evicted
 }
 
-// checkShard asserts that shard i's presence index, store and slices
-// agree, and that every line sits inside its owner's partition under the
-// shard's own masks. It returns the shard's resident line count.
+// checkShard asserts that shard i's slices, values and presence index
+// agree: every valid way holds a key that hashes to its line in this
+// shard, find returns that way, inside the owner's partition under the
+// shard's own masks and with no duplicate, and every invalid way holds
+// the zero entry, so no value outlives its line. It returns the shard's
+// resident line count.
 func checkShard(t *testing.T, c *Cache, i int) int64 {
 	t.Helper()
 	sh := c.shards[i]
@@ -94,21 +93,33 @@ func checkShard(t *testing.T, c *Cache, i int) int64 {
 		t.Fatalf("shard %d: %v", i, err)
 	}
 	lines := 0
-	for _, sl := range sh.slices {
-		lines += sl.ValidLines()
-	}
-	if lines != sh.pres.Len() || len(sh.store) != lines {
-		t.Fatalf("shard %d: %d slice lines, %d presence entries, %d stored", i, lines, sh.pres.Len(), len(sh.store))
-	}
-	for gl := range sh.store {
-		bit := sh.pres.Get(gl)
-		owner := int(gl.ASID) - 1
-		if bit == 0 || bit&(bit-1) != 0 || bit&sh.partMask[owner] == 0 {
-			t.Fatalf("shard %d: line %v of slot %d has presence %b outside partition %b", i, gl, owner, bit, sh.partMask[owner])
+	for phys, sl := range sh.slices {
+		for set := 0; set < sl.Sets(); set++ {
+			for way := 0; way < sl.Ways(); way++ {
+				e, v := sl.Entry(set, way), *sh.cell(phys, set, way)
+				if !e.Valid {
+					if v.key != "" || v.val != nil {
+						t.Fatalf("shard %d: invalid way %d/%d/%d holds %q", i, phys, set, way, v.key)
+					}
+					continue
+				}
+				lines++
+				owner := int(e.ASID) - 1
+				gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
+				if tg := c.locate(owner, v.key); tg.gl != gl || tg.shard != i {
+					t.Fatalf("shard %d: way %d/%d/%d of line %v holds key %q of line %v on shard %d", i, phys, set, way, gl, v.key, tg.gl, tg.shard)
+				}
+				if bit := sh.pres.Get(gl); bit != 1<<uint(phys) || bit&sh.partMask[owner] == 0 {
+					t.Fatalf("shard %d: line %v of slot %d in slot %d has presence %b, partition %b", i, gl, owner, phys, bit, sh.partMask[owner])
+				}
+				if p, s, w := sh.find(owner, gl); p != phys || s != set || w != way {
+					t.Fatalf("shard %d: find(%v) = %d/%d/%d, want %d/%d/%d", i, gl, p, s, w, phys, set, way)
+				}
+			}
 		}
-		if sh.slices[trailingSlot(bit)].Lookup(gl.ASID, gl.Line) < 0 {
-			t.Fatalf("shard %d: line %v missing from slice %d", i, gl, trailingSlot(bit))
-		}
+	}
+	if lines != sh.pres.Len() {
+		t.Fatalf("shard %d: %d slice lines, %d presence entries", i, lines, sh.pres.Len())
 	}
 	return int64(lines)
 }
@@ -302,7 +313,7 @@ func (p *cyclePolicy) EndEpoch(_ int, m core.Machine) (int, bool) {
 // TestRolloutRacesTraffic drives Get/Set/Delete on every shard while
 // EndEpoch repartitions every epoch, and after each epoch checks every
 // shard with the traffic paused: presence bits inside the shard's own
-// partition masks, store, presence and slices in agreement, and the
+// partition masks, values, presence and slices in agreement, and the
 // occupancy counters summing to the resident lines. Run it under -race.
 func TestRolloutRacesTraffic(t *testing.T) {
 	cfg := testConfig("alpha", "beta", "gamma")

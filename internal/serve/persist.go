@@ -73,7 +73,7 @@ func (p *PersistConfig) validate() error {
 }
 
 // openWAL opens the log, replaying any existing records into the cache:
-// sets and deletes rebuild the stores, epoch/snapshot markers restore the
+// sets and deletes rebuild the values, epoch/snapshot markers restore the
 // epoch counter and the partition grants. Records for tenants no longer
 // configured (or values over the current bound) are skipped, not fatal —
 // a config change must not brick the log.
@@ -102,21 +102,21 @@ func (c *Cache) applyReplay(r wal.Record) error {
 		if !ok || len(r.Value) > c.cfg.MaxValueBytes || r.Key == "" || len(r.Key) > maxKeyBytes {
 			return wal.SkipRecord
 		}
-		h := hashKey(r.Key)
-		sh := c.shardOf(h)
-		sh.mu.Lock()
-		c.setLocked(sh, slot, int((h>>48)&uint64(len(c.shards)-1)), h, r.Key, r.Value)
-		sh.mu.Unlock()
+		t := c.locate(slot, r.Key)
+		t.sh.mu.Lock()
+		c.setLocked(t, r.Key, r.Value)
+		t.sh.mu.Unlock()
 	case wal.KindDelete:
 		slot, ok := c.tenants[r.Tenant]
 		if !ok || r.Key == "" {
 			return wal.SkipRecord
 		}
-		h := hashKey(r.Key)
-		sh := c.shardOf(h)
-		sh.mu.Lock()
-		c.deleteLocked(sh, slot, int((h>>48)&uint64(len(c.shards)-1)), h, r.Key)
-		sh.mu.Unlock()
+		t := c.locate(slot, r.Key)
+		t.sh.mu.Lock()
+		if phys, set, way := t.sh.find(slot, t.gl); phys >= 0 && t.sh.cell(phys, set, way).key == r.Key {
+			c.dropLocked(t, phys, set, way)
+		}
+		t.sh.mu.Unlock()
 	case wal.KindEpoch, wal.KindSnapshotBegin:
 		c.epoch = int(r.Epoch)
 		g, err := decodeGrouping(r.Value, c.cfg.Slots)
@@ -207,8 +207,14 @@ func (c *Cache) streamSnapshot(emit func(tenant, key string, value []byte) error
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		buf := c.snapBuf[:0]
-		for gl, e := range sh.store {
-			buf = append(buf, snapEntry{c.names[int(gl.ASID)-1], e})
+		for phys, cells := range sh.vals {
+			sl := sh.slices[phys]
+			for i, e := range cells {
+				if e.key != "" {
+					owner := sl.Entry(i/sl.Ways(), i%sl.Ways()).ASID
+					buf = append(buf, snapEntry{c.names[int(owner)-1], e})
+				}
+			}
 		}
 		sh.mu.Unlock()
 		c.snapBuf = buf

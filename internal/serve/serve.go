@@ -24,12 +24,12 @@
 //     keeps it sublinear, like the hardware vectors Fig. 5 calibrates.
 //
 // Concurrency: keys hash across shards; each shard owns a full column of
-// per-slot slices, a PresenceIndex (the PR-5 allocation-free line→owner
-// map), a value store and its own copy of the partition masks, all under
-// one mutex. An epoch boundary holds every shard lock only for a
+// per-slot slices, the values held in their ways, a PresenceIndex (the
+// allocation-free line→owner map) and its own copy of the partition masks,
+// all under one mutex. An epoch boundary holds every shard lock only for a
 // microsecond cut; the controller decides with no shard lock held, and
-// the new grouping rolls out one shard at a time, so each shard is always
-// self-consistent and a request waits at most for one shard's sweep.
+// the new grouping rolls out one shard at a time, so a request waits at
+// most for one shard's sweep.
 package serve
 
 import (
@@ -185,24 +185,25 @@ func (c Config) Validate() error {
 	return cache.Config{SizeBytes: c.SlotBytes / c.Shards, Ways: c.Ways, Policy: cache.LRU}.Validate()
 }
 
-// entry is one stored value. The full key is kept to disambiguate hash
-// collisions: a Get whose key does not match the resident one is a miss.
+// entry is the value held in one way. The full key is kept to
+// disambiguate hash collisions: a Get whose key does not match the
+// resident one is a miss.
 type entry struct {
 	key string
 	val []byte
 }
 
-// shard is one concurrency unit: a full column of per-slot slices plus
-// the presence index and value store for the keys that hash to it.
+// shard is one concurrency unit: a full column of per-slot slices, the
+// values in their ways, and the presence index for the keys hashing to it.
 type shard struct {
 	mu sync.Mutex
-	// slices[slot] is this shard's bank of the slot.
+	// slices[slot] is this shard's bank of the slot; vals[slot][set*ways+way]
+	// holds the entry of the line in that way, the zero entry if invalid.
 	slices []*cache.Slice
+	vals   [][]entry
 	// pres maps a resident global line to the one-bit mask of the slot
-	// holding it (the PR-5 open-addressing index; no allocation after New).
+	// holding it (open addressing; no allocation after New).
 	pres *hierarchy.PresenceIndex
-	// store holds the values, keyed by ASID-qualified line hash.
-	store map[mem.GlobalLine]entry
 	// partMask[slot] is the slot's group mask under the grouping this
 	// shard has rolled out; the access path reads it on every request.
 	partMask []uint32
@@ -337,16 +338,18 @@ func New(cfg Config, reg *obs.Registry) (*Cache, error) {
 	for i := range c.shards {
 		sh := &shard{
 			slices:   make([]*cache.Slice, cfg.Slots),
+			vals:     make([][]entry, cfg.Slots),
 			pres:     hierarchy.NewPresenceIndex(cfg.Slots * slotLines),
-			store:    make(map[mem.GlobalLine]entry, cfg.Slots*slotLines),
 			partMask: make([]uint32, cfg.Slots),
 			vecs:     make([]*acfv.Vector, cfg.Slots),
 			spare:    make([]*acfv.Vector, cfg.Slots),
 		}
 		clock := &cache.Clock{}
+		cells := make([]entry, cfg.Slots*slotLines)
 		for s := range sh.slices {
 			sh.slices[s] = cache.New(cache.Config{SizeBytes: sliceBytes, Ways: cfg.Ways, Policy: cache.LRU})
 			sh.slices[s].ShareClock(clock)
+			sh.vals[s] = cells[s*slotLines : (s+1)*slotLines]
 			sh.vecs[s] = acfv.NewVector(vecWidth, acfv.XOR)
 			sh.spare[s] = acfv.NewVector(vecWidth, acfv.XOR)
 		}
@@ -417,10 +420,78 @@ func hashKey(key string) uint64 {
 	return h ^ h>>31
 }
 
-// shardOf picks the shard from the hash's high bits, far from the set
-// index bits the slices consume.
-func (c *Cache) shardOf(h uint64) *shard {
-	return c.shards[int((h>>48)&uint64(len(c.shards)-1))]
+// target is where one request's key lives: its tenant's home slot, the
+// shard the key hashes to, and its ASID-qualified line.
+type target struct {
+	slot, shard int
+	sh          *shard
+	gl          mem.GlobalLine
+}
+
+// locate maps (slot, key) to its target. The shard comes from the hash's
+// high bits, far from the set index bits the slices consume.
+func (c *Cache) locate(slot int, key string) target {
+	h := hashKey(key)
+	i := int((h >> 48) & uint64(len(c.shards)-1))
+	return target{slot, i, c.shards[i], mem.GlobalLine{ASID: asidOf(slot), Line: mem.Line(h)}}
+}
+
+// resolve checks a request in error precedence order and locates it. A
+// read passes valLen < 0; a write (the value's length, 0 for Delete) is
+// also bounded in key and value size and shed while degraded.
+func (c *Cache) resolve(tenant, key string, valLen int) (target, error) {
+	if c.draining.Load() {
+		return target{}, ErrDraining
+	}
+	slot, ok := c.tenants[tenant]
+	switch {
+	case !ok:
+		return target{}, ErrUnknownTenant
+	case key == "":
+		return target{}, ErrEmptyKey
+	case valLen < 0:
+	case len(key) > maxKeyBytes:
+		return target{}, ErrKeyTooLong
+	case valLen > c.cfg.MaxValueBytes:
+		return target{}, ErrValueTooLarge
+	case c.wal != nil && c.degraded.Load():
+		return target{}, ErrDegraded
+	}
+	return c.locate(slot, key), nil
+}
+
+// lock takes t's shard lock, or sheds the request with the lock released
+// if the shard is stalled.
+func (c *Cache) lock(t target, rs *reqSpans) error {
+	sp := rs.begin("shard_lock_wait")
+	t.sh.mu.Lock()
+	sp.End()
+	if t.sh.stall > 0 {
+		t.sh.mu.Unlock()
+		c.met.stalled()
+		return ErrShardStalled
+	}
+	return nil
+}
+
+// find returns the slice, set and way holding gl inside slot's partition,
+// or phys < 0 if it is not resident there (shard lock held).
+func (sh *shard) find(slot int, gl mem.GlobalLine) (phys, set, way int) {
+	mask := sh.pres.Get(gl) & sh.partMask[slot]
+	if mask == 0 {
+		return -1, 0, 0
+	}
+	phys = bits.TrailingZeros32(mask)
+	sl := sh.slices[phys]
+	if way = sl.Lookup(gl.ASID, gl.Line); way < 0 {
+		panic("serve: present mask inconsistent")
+	}
+	return phys, sl.SetIndex(gl.Line), way
+}
+
+// cell is the value held in (phys, set, way).
+func (sh *shard) cell(phys, set, way int) *entry {
+	return &sh.vals[phys][set*sh.slices[phys].Ways()+way]
 }
 
 // Get returns the value stored under (tenant, key), or ErrNotFound. The
@@ -440,60 +511,36 @@ func (c *Cache) Get(tenant, key string) ([]byte, error) {
 // get is the observation-free core of Get; rs (nil on the library path)
 // carries the HTTP request's trace track for child spans.
 func (c *Cache) get(tenant, key string, rs *reqSpans) ([]byte, error) {
-	if c.draining.Load() {
-		return nil, ErrDraining
+	t, err := c.resolve(tenant, key, -1)
+	if err == nil {
+		err = c.lock(t, rs)
 	}
-	slot, ok := c.tenants[tenant]
-	if !ok {
-		return nil, ErrUnknownTenant
+	if err != nil {
+		return nil, err
 	}
-	if key == "" {
-		return nil, ErrEmptyKey
-	}
-	h := hashKey(key)
-	line := mem.Line(h)
-	gl := mem.GlobalLine{ASID: asidOf(slot), Line: line}
-	sh := c.shardOf(h)
-	shardIdx := int((h >> 48) & uint64(len(c.shards)-1))
-	lockSp := rs.begin("shard_lock_wait")
-	sh.mu.Lock()
-	lockSp.End()
+	sh := t.sh
 	storeSp := rs.begin("store_access")
-	if sh.stall > 0 {
-		sh.mu.Unlock()
-		storeSp.End()
-		c.met.stalled()
-		return nil, ErrShardStalled
+	var e entry
+	phys, set, way := sh.find(t.slot, t.gl)
+	if phys >= 0 {
+		e = *sh.cell(phys, set, way)
 	}
-	mask := sh.pres.Get(gl) & sh.partMask[slot]
-	if mask == 0 {
-		c.misses[slot].Add(1)
-		sh.mu.Unlock()
-		storeSp.End()
-		c.met.getMiss(slot, shardIdx)
-		return nil, ErrNotFound
-	}
-	phys := bits.TrailingZeros32(mask)
-	sl := sh.slices[phys]
-	w := sl.Lookup(gl.ASID, line)
-	if w < 0 {
-		panic("serve: present mask inconsistent")
-	}
-	e := sh.store[gl]
 	if e.key != key {
-		// Hash collision: a different key owns the line. Miss.
-		c.misses[slot].Add(1)
+		// Absent, or a different key owns the line (hash collision).
+		c.misses[t.slot].Add(1)
 		sh.mu.Unlock()
 		storeSp.End()
-		c.met.collision(slot, shardIdx)
-		c.met.getMiss(slot, shardIdx)
+		if phys >= 0 {
+			c.met.collision(t.slot, t.shard)
+		}
+		c.met.getMiss(t.slot, t.shard)
 		return nil, ErrNotFound
 	}
-	sl.Touch(sl.SetIndex(line), w)
-	sh.vecs[slot].Set(line)
+	sh.slices[phys].Touch(set, way)
+	sh.vecs[t.slot].Set(t.gl.Line)
 	sh.mu.Unlock()
 	storeSp.End()
-	c.met.getHit(slot, shardIdx)
+	c.met.getHit(t.slot, t.shard)
 	return e.val, nil
 }
 
@@ -515,36 +562,14 @@ func (c *Cache) Set(tenant, key string, val []byte) error {
 
 // set is the observation-free core of Set (see get).
 func (c *Cache) set(tenant, key string, val []byte, rs *reqSpans) error {
-	if c.draining.Load() {
-		return ErrDraining
+	t, err := c.resolve(tenant, key, len(val))
+	if err == nil {
+		err = c.lock(t, rs)
 	}
-	slot, ok := c.tenants[tenant]
-	if !ok {
-		return ErrUnknownTenant
+	if err != nil {
+		return err
 	}
-	if key == "" {
-		return ErrEmptyKey
-	}
-	if len(key) > maxKeyBytes {
-		return ErrKeyTooLong
-	}
-	if len(val) > c.cfg.MaxValueBytes {
-		return ErrValueTooLarge
-	}
-	if c.wal != nil && c.degraded.Load() {
-		return ErrDegraded
-	}
-	h := hashKey(key)
-	sh := c.shardOf(h)
-	shardIdx := int((h >> 48) & uint64(len(c.shards)-1))
-	lockSp := rs.begin("shard_lock_wait")
-	sh.mu.Lock()
-	lockSp.End()
-	defer sh.mu.Unlock()
-	if sh.stall > 0 {
-		c.met.stalled()
-		return ErrShardStalled
-	}
+	defer t.sh.mu.Unlock()
 	if c.wal != nil {
 		walSp := rs.begin("wal_append")
 		err := c.walAppendLocked(wal.Record{Kind: wal.KindSet, Tenant: tenant, Key: key, Value: val, Epoch: uint64(c.epoch)})
@@ -554,32 +579,26 @@ func (c *Cache) set(tenant, key string, val []byte, rs *reqSpans) error {
 		}
 	}
 	storeSp := rs.begin("store_access")
-	c.setLocked(sh, slot, shardIdx, h, key, val)
+	c.setLocked(t, key, val)
 	storeSp.End()
 	return nil
 }
 
-// setLocked applies a store to the shard (its lock held): the WAL-free
+// setLocked applies a store to t's shard (its lock held): the WAL-free
 // core of Set, shared with replay.
-func (c *Cache) setLocked(sh *shard, slot, shardIdx int, h uint64, key string, val []byte) {
-	line := mem.Line(h)
-	gl := mem.GlobalLine{ASID: asidOf(slot), Line: line}
-	if mask := sh.pres.Get(gl) & sh.partMask[slot]; mask != 0 {
+func (c *Cache) setLocked(t target, key string, val []byte) {
+	sh, slot, line := t.sh, t.slot, t.gl.Line
+	if phys, set, way := sh.find(slot, t.gl); phys >= 0 {
 		// Overwrite in place; an aliased key is displaced (cache semantics:
 		// at most one resident value per line).
-		phys := bits.TrailingZeros32(mask)
-		sl := sh.slices[phys]
-		w := sl.Lookup(gl.ASID, line)
-		if w < 0 {
-			panic("serve: present mask inconsistent")
+		e := sh.cell(phys, set, way)
+		if e.key != key {
+			c.met.collision(slot, t.shard)
 		}
-		if sh.store[gl].key != key {
-			c.met.collision(slot, shardIdx)
-		}
-		sh.store[gl] = entry{key: key, val: val}
-		sl.Touch(sl.SetIndex(line), w)
+		*e = entry{key: key, val: val}
+		sh.slices[phys].Touch(set, way)
 		sh.vecs[slot].Set(line)
-		c.met.set(slot, shardIdx)
+		c.met.set(slot, t.shard)
 		return
 	}
 	// Insert at the partition's LRU position for this set: the home slice
@@ -589,41 +608,38 @@ func (c *Cache) setLocked(sh *shard, slot, shardIdx int, h uint64, key string, v
 	// the controller granted it. (The simulated hierarchy inserts locally
 	// and spills to the group LRU instead, to model remote-hit latency;
 	// one process has no such gradient, so inserting at the LRU position
-	// directly is capacity-equivalent and moves nothing.)
-	target := -1
+	// directly is capacity-equivalent and moves nothing.) The new entry
+	// overwrites the victim's cell.
+	phys := -1
 	if sh.slices[slot].FreeWay(line) >= 0 {
-		target = slot
+		phys = slot
 	} else {
 		var oldest uint64
 		for m := sh.partMask[slot]; m != 0; m &= m - 1 {
-			phys := bits.TrailingZeros32(m)
-			age, valid := sh.slices[phys].VictimAge(line)
+			p := bits.TrailingZeros32(m)
+			age, valid := sh.slices[p].VictimAge(line)
 			if !valid {
-				target = phys
+				phys = p
 				break
 			}
-			if target < 0 || age < oldest {
-				target, oldest = phys, age
+			if phys < 0 || age < oldest {
+				phys, oldest = p, age
 			}
 		}
 	}
-	sl := sh.slices[target]
-	set := sl.SetIndex(line)
-	way := sl.VictimWay(line)
-	old := sl.InsertAt(set, way, gl.ASID, line, false)
-	if old.Valid {
-		ogl := mem.GlobalLine{ASID: old.ASID, Line: old.Line}
-		sh.pres.Clear(ogl, 1<<uint(target))
-		delete(sh.store, ogl)
+	sl := sh.slices[phys]
+	set, way := sl.SetIndex(line), sl.VictimWay(line)
+	if old := sl.InsertAt(set, way, t.gl.ASID, line, false); old.Valid {
+		sh.pres.Clear(mem.GlobalLine{ASID: old.ASID, Line: old.Line}, 1<<uint(phys))
 		owner := int(old.ASID) - 1
 		c.occupancy[owner].Add(-1)
 		c.met.evict(owner, "capacity")
 	}
-	sh.pres.Or(gl, 1<<uint(target))
-	sh.store[gl] = entry{key: key, val: val}
+	*sh.cell(phys, set, way) = entry{key: key, val: val}
+	sh.pres.Or(t.gl, 1<<uint(phys))
 	c.occupancy[slot].Add(1)
 	sh.vecs[slot].Set(line)
-	c.met.set(slot, shardIdx)
+	c.met.set(slot, t.shard)
 }
 
 // Delete removes (tenant, key); ErrNotFound if absent. Like Set, the
@@ -641,38 +657,19 @@ func (c *Cache) Delete(tenant, key string) error {
 
 // del is the observation-free core of Delete (see get).
 func (c *Cache) del(tenant, key string, rs *reqSpans) error {
-	if c.draining.Load() {
-		return ErrDraining
+	t, err := c.resolve(tenant, key, 0)
+	if err == nil {
+		err = c.lock(t, rs)
 	}
-	slot, ok := c.tenants[tenant]
-	if !ok {
-		return ErrUnknownTenant
+	if err != nil {
+		return err
 	}
-	if key == "" {
-		return ErrEmptyKey
-	}
-	if len(key) > maxKeyBytes {
-		return ErrKeyTooLong
-	}
-	if c.wal != nil && c.degraded.Load() {
-		return ErrDegraded
-	}
-	h := hashKey(key)
-	sh := c.shardOf(h)
-	shardIdx := int((h >> 48) & uint64(len(c.shards)-1))
-	lockSp := rs.begin("shard_lock_wait")
-	sh.mu.Lock()
-	lockSp.End()
-	defer sh.mu.Unlock()
-	if sh.stall > 0 {
-		c.met.stalled()
-		return ErrShardStalled
+	defer t.sh.mu.Unlock()
+	phys, set, way := t.sh.find(t.slot, t.gl)
+	if phys < 0 || t.sh.cell(phys, set, way).key != key {
+		return ErrNotFound
 	}
 	if c.wal != nil {
-		gl := mem.GlobalLine{ASID: asidOf(slot), Line: mem.Line(h)}
-		if mask := sh.pres.Get(gl) & sh.partMask[slot]; mask == 0 || sh.store[gl].key != key {
-			return ErrNotFound
-		}
 		walSp := rs.begin("wal_append")
 		err := c.walAppendLocked(wal.Record{Kind: wal.KindDelete, Tenant: tenant, Key: key, Epoch: uint64(c.epoch)})
 		walSp.End()
@@ -681,31 +678,19 @@ func (c *Cache) del(tenant, key string, rs *reqSpans) error {
 		}
 	}
 	storeSp := rs.begin("store_access")
-	deleted := c.deleteLocked(sh, slot, shardIdx, h, key)
+	c.dropLocked(t, phys, set, way)
 	storeSp.End()
-	if !deleted {
-		return ErrNotFound
-	}
 	return nil
 }
 
-// deleteLocked applies a delete to the shard (its lock held): the
-// WAL-free core of Delete, shared with replay. It reports whether the
-// key was resident.
-func (c *Cache) deleteLocked(sh *shard, slot, shardIdx int, h uint64, key string) bool {
-	line := mem.Line(h)
-	gl := mem.GlobalLine{ASID: asidOf(slot), Line: line}
-	mask := sh.pres.Get(gl) & sh.partMask[slot]
-	if mask == 0 || sh.store[gl].key != key {
-		return false
-	}
-	phys := bits.TrailingZeros32(mask)
-	sh.slices[phys].Invalidate(gl.ASID, line)
-	sh.pres.Clear(gl, 1<<uint(phys))
-	delete(sh.store, gl)
-	c.occupancy[slot].Add(-1)
-	c.met.del(slot, shardIdx)
-	return true
+// dropLocked deletes t's line from (phys, set, way), its shard lock held:
+// the WAL-free core of Delete, shared with replay.
+func (c *Cache) dropLocked(t target, phys, set, way int) {
+	t.sh.slices[phys].InvalidateWay(set, way)
+	*t.sh.cell(phys, set, way) = entry{}
+	t.sh.pres.Clear(t.gl, 1<<uint(phys))
+	c.occupancy[t.slot].Add(-1)
+	c.met.del(t.slot, t.shard)
 }
 
 // EndEpoch closes a reconfiguration interval in four steps, serialized
@@ -799,7 +784,7 @@ func (c *Cache) applyTopology(t topology.Topology) {
 // A stranded line sits in a slot of its owner's old group that the new
 // group lacks, and that slot's own mask must then have changed too; so
 // only the slices of slots whose mask changed are scanned, sets × ways,
-// and they yield the same evictions as a scan of the shard's whole store.
+// and they yield the same evictions as a scan of every resident line.
 // A shard already on masks sweeps nothing.
 func (c *Cache) regroupShard(sh *shard, masks []uint32) {
 	sh.mu.Lock()
@@ -821,9 +806,8 @@ func (c *Cache) regroupShard(sh *shard, masks []uint32) {
 					continue
 				}
 				sl.InvalidateWay(set, way)
-				gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
-				sh.pres.Clear(gl, bit)
-				delete(sh.store, gl)
+				*sh.cell(phys, set, way) = entry{}
+				sh.pres.Clear(mem.GlobalLine{ASID: e.ASID, Line: e.Line}, bit)
 				c.occupancy[owner].Add(-1)
 				c.met.evict(owner, "repartition")
 			}

@@ -299,7 +299,7 @@ func TestMetricsExport(t *testing.T) {
 }
 
 // TestPresenceConsistency cross-checks the shard presence indexes against
-// slice contents and the store after heavy mixed traffic.
+// slice contents and the values in their ways after heavy mixed traffic.
 func TestPresenceConsistency(t *testing.T) {
 	cfg := testConfig("alpha", "beta")
 	cfg.Shards = 2
@@ -321,30 +321,7 @@ func TestPresenceConsistency(t *testing.T) {
 			c.EndEpoch()
 		}
 	}
-	total := 0
-	for _, sh := range c.shards {
-		if err := sh.pres.Check(); err != nil {
-			t.Fatal(err)
-		}
-		lines := 0
-		for _, sl := range sh.slices {
-			lines += sl.ValidLines()
-		}
-		if lines != sh.pres.Len() {
-			t.Fatalf("shard holds %d lines, presence index %d", lines, sh.pres.Len())
-		}
-		if len(sh.store) != sh.pres.Len() {
-			t.Fatalf("store %d entries, presence index %d", len(sh.store), sh.pres.Len())
-		}
-		total += lines
-	}
-	var occ int64
-	for i := range c.occupancy {
-		occ += c.occupancy[i].Load()
-	}
-	if occ != int64(total) {
-		t.Fatalf("occupancy gauges %d, resident lines %d", occ, total)
-	}
+	checkConsistency(t, c)
 }
 
 // TestConcurrentTraffic drives mixed traffic from several goroutines with
@@ -394,9 +371,5 @@ func TestConcurrentTraffic(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	for _, sh := range c.shards {
-		if err := sh.pres.Check(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkConsistency(t, c)
 }
