@@ -42,35 +42,44 @@ func demandHash(line mem.Line) uint64 {
 	return h ^ h>>32
 }
 
-// demandTable tracks one (core, slice) footprint: line -> touch count
-// (saturating at 15). The zero value is an empty table.
-type demandTable struct {
+// lineTable is a set of lines with a touch count per line (saturating at
+// 15). It is both a (core, slice) demand footprint and the scratch union set
+// of the utilization/overlap signals below, two of which the System owns
+// instead of allocating fresh maps on every controller query. The zero
+// value is an empty table.
+type lineTable struct {
 	mask  uint64
-	lines []mem.Line
-	cnt   []uint8
-	gen   []uint32
-	cur   uint32 // current generation; slots with gen != cur are empty
+	cells []lineCell
+	cur   uint32 // current generation; cells with gen != cur are empty
 	n     int    // live entries in the current generation
 }
 
-// mark records one touch of the line in the current interval.
-func (d *demandTable) mark(line mem.Line) {
-	if d.lines == nil {
+// lineCell is one 16-byte table slot, so a probe reads one cell.
+type lineCell struct {
+	line mem.Line
+	gen  uint32
+	cnt  uint8
+}
+
+// mark records one touch of the line in the current generation.
+func (d *lineTable) mark(line mem.Line) {
+	if d.cells == nil {
 		d.grow(64)
 	}
 	i := demandHash(line) & d.mask
 	for {
-		if d.gen[i] != d.cur {
-			d.lines[i], d.gen[i], d.cnt[i] = line, d.cur, 1
+		c := &d.cells[i]
+		if c.gen != d.cur {
+			*c = lineCell{line: line, gen: d.cur, cnt: 1}
 			d.n++
-			if 4*d.n > 3*len(d.lines) {
-				d.grow(2 * len(d.lines))
+			if 4*d.n > 3*len(d.cells) {
+				d.grow(2 * len(d.cells))
 			}
 			return
 		}
-		if d.lines[i] == line {
-			if d.cnt[i] < 15 {
-				d.cnt[i]++
+		if c.line == line {
+			if c.cnt < 15 {
+				c.cnt++
 			}
 			return
 		}
@@ -78,147 +87,70 @@ func (d *demandTable) mark(line mem.Line) {
 	}
 }
 
-// grow rehashes the live entries into a table of the given slot count.
-func (d *demandTable) grow(slots int) {
-	oldLines, oldCnt, oldGen, oldCur := d.lines, d.cnt, d.gen, d.cur
-	d.lines = make([]mem.Line, slots)
-	d.cnt = make([]uint8, slots)
-	d.gen = make([]uint32, slots)
-	d.mask = uint64(slots - 1)
-	d.cur = 1
-	for i, g := range oldGen {
-		if g != oldCur {
-			continue
+// has reports membership.
+func (d *lineTable) has(line mem.Line) bool {
+	if d.cells == nil {
+		return false
+	}
+	i := demandHash(line) & d.mask
+	for {
+		c := &d.cells[i]
+		if c.gen != d.cur {
+			return false
 		}
-		j := demandHash(oldLines[i]) & d.mask
-		for d.gen[j] == d.cur {
-			j = (j + 1) & d.mask
+		if c.line == line {
+			return true
 		}
-		d.lines[j], d.gen[j], d.cnt[j] = oldLines[i], 1, oldCnt[i]
+		i = (i + 1) & d.mask
 	}
 }
 
-// reset empties the table for the next interval without touching the
-// backing arrays: slots stamped with older generations read as empty.
-func (d *demandTable) reset() {
-	if d.lines == nil {
+// size returns the number of lines in the table.
+func (d *lineTable) size() int { return d.n }
+
+// grow rehashes the live entries into a table of the given slot count.
+func (d *lineTable) grow(slots int) {
+	old, oldCur := d.cells, d.cur
+	d.cells = make([]lineCell, slots)
+	d.mask = uint64(slots - 1)
+	d.cur = 1
+	for _, c := range old {
+		if c.gen != oldCur {
+			continue
+		}
+		j := demandHash(c.line) & d.mask
+		for d.cells[j].gen == d.cur {
+			j = (j + 1) & d.mask
+		}
+		c.gen = 1
+		d.cells[j] = c
+	}
+}
+
+// reset empties the table without touching the backing array: cells
+// stamped with older generations read as empty.
+func (d *lineTable) reset() {
+	if d.cells == nil {
 		return
 	}
 	d.cur++
 	if d.cur == 0 {
-		// Generation counter wrapped (after 2^32 intervals): clear the
-		// stamps so stale slots cannot alias the new generation.
-		for i := range d.gen {
-			d.gen[i] = 0
+		// Generation counter wrapped (after 2^32 resets): clear the
+		// stamps so stale cells cannot alias the new generation.
+		for i := range d.cells {
+			d.cells[i].gen = 0
 		}
 		d.cur = 1
 	}
 	d.n = 0
 }
 
-// forEach calls fn for every line touched at least thr times this interval.
-func (d *demandTable) forEach(thr uint8, fn func(mem.Line)) {
-	for i, g := range d.gen {
-		if g == d.cur && d.cnt[i] >= thr {
-			fn(d.lines[i])
+// forEach calls fn for every line touched at least thr times.
+func (d *lineTable) forEach(thr uint8, fn func(mem.Line)) {
+	for _, c := range d.cells {
+		if c.gen == d.cur && c.cnt >= thr {
+			fn(c.line)
 		}
-	}
-}
-
-// lineSet is a reusable set of lines with the same generation-stamped
-// reset: the utilization/overlap signals below build their union sets in
-// two of these scratch instances owned by the System instead of allocating
-// fresh maps on every controller query. The zero value is an empty set.
-type lineSet struct {
-	mask  uint64
-	lines []mem.Line
-	gen   []uint32
-	cur   uint32
-	n     int
-}
-
-// reset empties the set.
-func (s *lineSet) reset() {
-	if s.lines == nil {
-		return
-	}
-	s.cur++
-	if s.cur == 0 {
-		for i := range s.gen {
-			s.gen[i] = 0
-		}
-		s.cur = 1
-	}
-	s.n = 0
-}
-
-// add inserts the line (idempotent).
-func (s *lineSet) add(line mem.Line) {
-	if s.lines == nil {
-		s.grow(64)
-	}
-	i := demandHash(line) & s.mask
-	for {
-		if s.gen[i] != s.cur {
-			s.lines[i], s.gen[i] = line, s.cur
-			s.n++
-			if 4*s.n > 3*len(s.lines) {
-				s.grow(2 * len(s.lines))
-			}
-			return
-		}
-		if s.lines[i] == line {
-			return
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// has reports membership.
-func (s *lineSet) has(line mem.Line) bool {
-	if s.lines == nil {
-		return false
-	}
-	i := demandHash(line) & s.mask
-	for {
-		if s.gen[i] != s.cur {
-			return false
-		}
-		if s.lines[i] == line {
-			return true
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// size returns the set cardinality.
-func (s *lineSet) size() int { return s.n }
-
-// forEach calls fn for every member.
-func (s *lineSet) forEach(fn func(mem.Line)) {
-	for i, g := range s.gen {
-		if g == s.cur {
-			fn(s.lines[i])
-		}
-	}
-}
-
-// grow rehashes the members into a table of the given slot count.
-func (s *lineSet) grow(slots int) {
-	oldLines, oldGen, oldCur := s.lines, s.gen, s.cur
-	s.lines = make([]mem.Line, slots)
-	s.gen = make([]uint32, slots)
-	s.mask = uint64(slots - 1)
-	s.cur = 1
-	for i, g := range oldGen {
-		if g != oldCur {
-			continue
-		}
-		j := demandHash(oldLines[i]) & s.mask
-		for s.gen[j] == s.cur {
-			j = (j + 1) & s.mask
-		}
-		s.lines[j], s.gen[j] = oldLines[i], 1
 	}
 }
 
@@ -270,14 +202,14 @@ func (s *System) sliceLines(l Level) int {
 }
 
 // sliceReused builds the union over cores of one slice's reused lines.
-func (s *System) sliceReused(l Level, slice int, into *lineSet) {
+func (s *System) sliceReused(l Level, slice int, into *lineTable) {
 	dd := s.demandL2
 	if l == L3 {
 		dd = s.demandL3
 	}
 	thr := reuseThreshold(l)
 	for c := 0; c < s.p.Cores; c++ {
-		dd[c][slice].forEach(thr, into.add)
+		dd[c][slice].forEach(thr, into.mark)
 	}
 }
 
@@ -321,7 +253,7 @@ func (s *System) GroupUtilization(l Level, group int) float64 {
 
 // overlapOf returns the fraction of the smaller set's members that both
 // sets contain, 0 when either set is empty.
-func overlapOf(sa, sb *lineSet) float64 {
+func overlapOf(sa, sb *lineTable) float64 {
 	if sa.size() == 0 || sb.size() == 0 {
 		return 0
 	}
@@ -330,7 +262,7 @@ func overlapOf(sa, sb *lineSet) float64 {
 		small, big = sb, sa
 	}
 	common := 0
-	small.forEach(func(line mem.Line) {
+	small.forEach(1, func(line mem.Line) {
 		if big.has(line) {
 			common++
 		}
@@ -381,14 +313,14 @@ func (s *System) SlicesShareASID(slices ...[]int) bool {
 // cache lines referenced by that thread in that epoch" — independent of
 // *where* a merged group placed the lines, which matters because the
 // locality spill spreads a thread's working set across its group.
-func (s *System) coreReused(l Level, core int, into *lineSet) {
+func (s *System) coreReused(l Level, core int, into *lineTable) {
 	dd := s.demandL2
 	if l == L3 {
 		dd = s.demandL3
 	}
 	thr := reuseThreshold(l)
 	for sl := 0; sl < s.p.Cores; sl++ {
-		dd[core][sl].forEach(thr, into.add)
+		dd[core][sl].forEach(thr, into.mark)
 	}
 }
 

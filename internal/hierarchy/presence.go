@@ -25,12 +25,17 @@ import (
 // observable event. All default outputs are byte-identical to the map-based
 // implementation (enforced by the golden-report CI jobs).
 type PresenceIndex struct {
-	mask   uint64
-	lines  []mem.Line
-	asids  []mem.ASID
-	owners []uint32 // 0 = empty slot (a present line always has owners)
-	n      int      // live keys
-	cap    int      // maximum keys (level line capacity)
+	mask  uint64
+	cells []presenceCell
+	n     int // live keys
+	cap   int // maximum keys (level line capacity)
+}
+
+// presenceCell is one 16-byte table slot, so a probe reads one cell.
+type presenceCell struct {
+	line   mem.Line
+	owners uint32 // 0 = empty slot (a present line always has owners)
+	asid   mem.ASID
 }
 
 // NewPresenceIndex builds an index able to hold maxKeys distinct lines.
@@ -40,11 +45,9 @@ func NewPresenceIndex(maxKeys int) *PresenceIndex {
 		slots <<= 1
 	}
 	return &PresenceIndex{
-		mask:   uint64(slots - 1),
-		lines:  make([]mem.Line, slots),
-		asids:  make([]mem.ASID, slots),
-		owners: make([]uint32, slots),
-		cap:    maxKeys,
+		mask:  uint64(slots - 1),
+		cells: make([]presenceCell, slots),
+		cap:   maxKeys,
 	}
 }
 
@@ -61,12 +64,12 @@ func presenceHash(asid mem.ASID, line mem.Line) uint64 {
 func (p *PresenceIndex) Get(gl mem.GlobalLine) uint32 {
 	i := presenceHash(gl.ASID, gl.Line) & p.mask
 	for {
-		o := p.owners[i]
-		if o == 0 {
+		c := &p.cells[i]
+		if c.owners == 0 {
 			return 0
 		}
-		if p.lines[i] == gl.Line && p.asids[i] == gl.ASID {
-			return o
+		if c.line == gl.Line && c.asid == gl.ASID {
+			return c.owners
 		}
 		i = (i + 1) & p.mask
 	}
@@ -76,17 +79,17 @@ func (p *PresenceIndex) Get(gl mem.GlobalLine) uint32 {
 func (p *PresenceIndex) Or(gl mem.GlobalLine, bit uint32) {
 	i := presenceHash(gl.ASID, gl.Line) & p.mask
 	for {
-		o := p.owners[i]
-		if o == 0 {
+		c := &p.cells[i]
+		if c.owners == 0 {
 			if p.n >= p.cap {
 				panic("hierarchy: presence index over line capacity")
 			}
-			p.lines[i], p.asids[i], p.owners[i] = gl.Line, gl.ASID, bit
+			*c = presenceCell{line: gl.Line, owners: bit, asid: gl.ASID}
 			p.n++
 			return
 		}
-		if p.lines[i] == gl.Line && p.asids[i] == gl.ASID {
-			p.owners[i] = o | bit
+		if c.line == gl.Line && c.asid == gl.ASID {
+			c.owners |= bit
 			return
 		}
 		i = (i + 1) & p.mask
@@ -98,16 +101,14 @@ func (p *PresenceIndex) Or(gl mem.GlobalLine, bit uint32) {
 func (p *PresenceIndex) Clear(gl mem.GlobalLine, bit uint32) {
 	i := presenceHash(gl.ASID, gl.Line) & p.mask
 	for {
-		o := p.owners[i]
-		if o == 0 {
+		c := &p.cells[i]
+		if c.owners == 0 {
 			return
 		}
-		if p.lines[i] == gl.Line && p.asids[i] == gl.ASID {
-			if o &^= bit; o != 0 {
-				p.owners[i] = o
-				return
+		if c.line == gl.Line && c.asid == gl.ASID {
+			if c.owners &^= bit; c.owners == 0 {
+				p.deleteAt(i)
 			}
-			p.deleteAt(i)
 			return
 		}
 		i = (i + 1) & p.mask
@@ -119,19 +120,20 @@ func (p *PresenceIndex) Clear(gl mem.GlobalLine, bit uint32) {
 func (p *PresenceIndex) deleteAt(i uint64) {
 	p.n--
 	for {
-		p.owners[i] = 0
+		p.cells[i].owners = 0
 		j := i
 		for {
 			j = (j + 1) & p.mask
-			if p.owners[j] == 0 {
+			c := p.cells[j]
+			if c.owners == 0 {
 				return
 			}
-			h := presenceHash(p.asids[j], p.lines[j]) & p.mask
+			h := presenceHash(c.asid, c.line) & p.mask
 			// The entry at j may move into the hole at i iff its home h
 			// does not lie cyclically within (i, j] — otherwise moving it
 			// would put it before its home and break its own chain.
 			if (j-h)&p.mask >= (j-i)&p.mask {
-				p.lines[i], p.asids[i], p.owners[i] = p.lines[j], p.asids[j], p.owners[j]
+				p.cells[i] = c
 				i = j
 				break
 			}
@@ -148,21 +150,22 @@ func (p *PresenceIndex) Len() int { return p.n }
 // generalization of the access path's "present mask inconsistent" panic.
 func (p *PresenceIndex) Check() error {
 	live := 0
-	for i := range p.owners {
-		if p.owners[i] == 0 {
+	for i, c := range p.cells {
+		if c.owners == 0 {
 			continue
 		}
 		live++
-		gl := mem.GlobalLine{ASID: p.asids[i], Line: p.lines[i]}
+		gl := mem.GlobalLine{ASID: c.asid, Line: c.line}
 		// Probe from the home slot: the first matching key must be slot i
 		// (anything else is a duplicate key or a broken chain), and the
 		// chain up to i must have no holes.
 		j := presenceHash(gl.ASID, gl.Line) & p.mask
 		for {
-			if p.owners[j] == 0 {
+			d := p.cells[j]
+			if d.owners == 0 {
 				return fmt.Errorf("hierarchy: presence entry %+v at slot %d unreachable (hole at %d)", gl, i, j)
 			}
-			if p.lines[j] == gl.Line && p.asids[j] == gl.ASID {
+			if d.line == gl.Line && d.asid == gl.ASID {
 				if j != uint64(i) {
 					return fmt.Errorf("hierarchy: presence key %+v duplicated at slots %d and %d", gl, j, i)
 				}

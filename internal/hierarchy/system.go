@@ -276,14 +276,14 @@ type System struct {
 
 	// demand[level][core][slice] are the per-interval reuse-demand
 	// footprints the controller reads (see footprint.go).
-	demandL2, demandL3 [][]demandTable
+	demandL2, demandL3 [][]lineTable
 	l2Lines, l3Lines   int
 
 	// scratchA/scratchB are the reusable line-set scratch buffers behind
 	// the utilization/overlap signals, and scratchGL the reusable
 	// stale-line buffer of enforceInclusion; all grown once to their
 	// high-water size and reset per use.
-	scratchA, scratchB lineSet
+	scratchA, scratchB lineTable
 	scratchGL          []mem.GlobalLine
 
 	// coreASID[c] is the address space the thread on core c runs in; set by
@@ -382,10 +382,10 @@ func New(p Params, topo topology.Topology) (*System, error) {
 func (s *System) initFootprints() {
 	s.l2Lines = s.p.L2SliceBytes / mem.LineSize
 	s.l3Lines = s.p.L3SliceBytes / mem.LineSize
-	mk := func() [][]demandTable {
-		dd := make([][]demandTable, s.p.Cores)
+	mk := func() [][]lineTable {
+		dd := make([][]lineTable, s.p.Cores)
 		for c := range dd {
-			dd[c] = make([]demandTable, s.p.Cores)
+			dd[c] = make([]lineTable, s.p.Cores)
 		}
 		return dd
 	}
