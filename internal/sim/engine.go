@@ -332,6 +332,7 @@ func (e *Engine) Run() *metrics.Run {
 	// With StartEpoch == 0 the two coincide and this loop is exactly the
 	// classic full run.
 	totalEpochs := e.cfg.WarmupEpochs + e.cfg.Epochs
+	sched := newLaggards(e.clock)
 	for off := 0; off < totalEpochs; off++ {
 		ep := e.cfg.StartEpoch + off
 		epochSpan := o.Span("sim", "epoch").Arg("epoch", ep).Arg("warmup", off < e.cfg.WarmupEpochs)
@@ -358,15 +359,10 @@ func (e *Engine) Run() *metrics.Run {
 			}
 		}
 		spec := e.target.Spec()
+		sched.reset(epochEnd)
 		for {
 			// Advance the laggard core still inside the epoch.
-			core := -1
-			var minClock uint64
-			for c := 0; c < n; c++ {
-				if e.clock[c] < epochEnd && (core < 0 || e.clock[c] < minClock) {
-					core, minClock = c, e.clock[c]
-				}
-			}
+			core := sched.next()
 			if core < 0 {
 				break
 			}
@@ -386,6 +382,7 @@ func (e *Engine) Run() *metrics.Run {
 			}
 			e.clock[core] += charge + uint64(res.Latency)
 			instr[core] += uint64(e.cfg.GapInstr)
+			sched.update(core)
 		}
 
 		measured := off >= e.cfg.WarmupEpochs
