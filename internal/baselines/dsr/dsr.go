@@ -157,8 +157,11 @@ func (s *System) invalidateOtherL1s(core int, gl mem.GlobalLine) {
 // --- one DSR level ----------------------------------------------------------
 
 type level struct {
-	slices        []*cache.Slice
-	present       map[mem.GlobalLine]uint32
+	slices []*cache.Slice
+	// present.Get(line) is the bitmask of slices holding the line: the
+	// hierarchy's fixed-size presence index, sized to the level's line
+	// capacity. Only probed by key, so its layout cannot reorder anything.
+	present       *hierarchy.PresenceIndex
 	psel          []int // > mid: spilling wins
 	opts          Options
 	local, remote int
@@ -168,7 +171,7 @@ type level struct {
 
 func newLevel(cores int, cfg cache.Config, local, remote int, opts Options) *level {
 	lv := &level{
-		present: make(map[mem.GlobalLine]uint32),
+		present: hierarchy.NewPresenceIndex(cores * cfg.Sets() * cfg.Ways),
 		psel:    make([]int, cores),
 		opts:    opts,
 		local:   local, remote: remote,
@@ -221,7 +224,7 @@ func (lv *level) access(core int, gl mem.GlobalLine, write bool) (int, bool, boo
 		}
 	}
 	// Snoop peers for a spilled or replicated copy.
-	mask := lv.present[gl] &^ (1 << uint(core))
+	mask := lv.present.Get(gl) &^ (1 << uint(core))
 	if mask != 0 {
 		peer := bits.TrailingZeros32(mask)
 		if w := lv.slices[peer].Access(gl.ASID, gl.Line, write); w >= 0 {
@@ -235,13 +238,21 @@ func (lv *level) access(core int, gl mem.GlobalLine, write bool) (int, bool, boo
 // sample role of the victim's set) is in spill mode, the victim is spilled
 // to a receiver peer instead of being dropped.
 func (lv *level) fill(core int, gl mem.GlobalLine, dirty bool) {
+	// Retire the victim's key before registering the newcomer's (and below,
+	// the receiver's displaced line before the spilled one): the index is
+	// sized to the level's line capacity, and this order keeps its key count
+	// within that bound at every step. A level holds at most one copy of a
+	// line (fills follow a miss in every slice), so the keys are distinct
+	// and the order is otherwise unobservable.
 	old := lv.slices[core].Insert(gl.ASID, gl.Line, dirty)
-	lv.present[gl] |= 1 << uint(core)
+	ogl := mem.GlobalLine{ASID: old.ASID, Line: old.Line}
+	if old.Valid {
+		lv.present.Clear(ogl, 1<<uint(core))
+	}
+	lv.present.Or(gl, 1<<uint(core))
 	if !old.Valid {
 		return
 	}
-	ogl := mem.GlobalLine{ASID: old.ASID, Line: old.Line}
-	lv.clearPresent(ogl, core)
 
 	set := lv.slices[core].SetIndex(old.Line)
 	spill := lv.isSpiller(core)
@@ -256,10 +267,10 @@ func (lv *level) fill(core int, gl mem.GlobalLine, dirty bool) {
 	}
 	if r, ok := lv.pickReceiver(core); ok {
 		spilledOut := lv.slices[r].Insert(old.ASID, old.Line, old.Dirty)
-		lv.present[ogl] |= 1 << uint(r)
 		if spilledOut.Valid {
-			lv.clearPresent(mem.GlobalLine{ASID: spilledOut.ASID, Line: spilledOut.Line}, r)
+			lv.present.Clear(mem.GlobalLine{ASID: spilledOut.ASID, Line: spilledOut.Line}, 1<<uint(r))
 		}
+		lv.present.Or(ogl, 1<<uint(r))
 	}
 }
 
@@ -277,7 +288,7 @@ func (lv *level) pickReceiver(except int) (int, bool) {
 }
 
 func (lv *level) setDirty(gl mem.GlobalLine) bool {
-	for m := lv.present[gl]; m != 0; m &= m - 1 {
+	for m := lv.present.Get(gl); m != 0; m &= m - 1 {
 		sl := bits.TrailingZeros32(m)
 		if w := lv.slices[sl].Lookup(gl.ASID, gl.Line); w >= 0 {
 			lv.slices[sl].SetDirty(lv.slices[sl].SetIndex(gl.Line), w)
@@ -288,17 +299,9 @@ func (lv *level) setDirty(gl mem.GlobalLine) bool {
 }
 
 func (lv *level) invalidateExcept(core int, gl mem.GlobalLine) {
-	for m := lv.present[gl] &^ (1 << uint(core)); m != 0; m &= m - 1 {
+	for m := lv.present.Get(gl) &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		sl := bits.TrailingZeros32(m)
 		lv.slices[sl].Invalidate(gl.ASID, gl.Line)
-		lv.clearPresent(gl, sl)
-	}
-}
-
-func (lv *level) clearPresent(gl mem.GlobalLine, slice int) {
-	if v := lv.present[gl] &^ (1 << uint(slice)); v == 0 {
-		delete(lv.present, gl)
-	} else {
-		lv.present[gl] = v
+		lv.present.Clear(gl, 1<<uint(sl))
 	}
 }

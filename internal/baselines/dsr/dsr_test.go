@@ -42,8 +42,8 @@ func TestSpillToReceiver(t *testing.T) {
 	}
 	// The victim of the overflow must now live in some peer slice.
 	victim := mem.GlobalLine{ASID: 1, Line: 1}
-	if lv.present[victim]&^1 == 0 {
-		t.Fatalf("victim not spilled: mask %#x", lv.present[victim])
+	if lv.present.Get(victim)&^1 == 0 {
+		t.Fatalf("victim not spilled: mask %#x", lv.present.Get(victim))
 	}
 	// And a local miss finds it remotely at the remote latency.
 	cost, remote, ok := lv.access(0, victim, false)
@@ -61,8 +61,8 @@ func TestNoSpillWhenReceiver(t *testing.T) {
 		lv.fill(0, mem.GlobalLine{ASID: 1, Line: mem.Line(1 + i*16)}, false)
 	}
 	victim := mem.GlobalLine{ASID: 1, Line: 1}
-	if lv.present[victim] != 0 {
-		t.Fatalf("receiver's victim should be dropped, mask %#x", lv.present[victim])
+	if lv.present.Get(victim) != 0 {
+		t.Fatalf("receiver's victim should be dropped, mask %#x", lv.present.Get(victim))
 	}
 }
 
@@ -92,8 +92,8 @@ func TestWriteInvalidatesPeers(t *testing.T) {
 	s.Access(0, w, 0)
 	// Peer copies at both levels must be gone.
 	gl := a.Global()
-	if s.l2.present[gl]&^1 != 0 || s.l3.present[gl]&^1 != 0 {
-		t.Fatalf("peer copies survive a write: L2 %#x L3 %#x", s.l2.present[gl], s.l3.present[gl])
+	if s.l2.present.Get(gl)&^1 != 0 || s.l3.present.Get(gl)&^1 != 0 {
+		t.Fatalf("peer copies survive a write: L2 %#x L3 %#x", s.l2.present.Get(gl), s.l3.present.Get(gl))
 	}
 }
 
@@ -137,13 +137,16 @@ func TestPresentMaskConsistency(t *testing.T) {
 		})
 	}
 	for gl, mask := range counts {
-		if lv.present[gl] != mask {
-			t.Fatalf("mask mismatch for %+v: %#x vs %#x", gl, lv.present[gl], mask)
+		if got := lv.present.Get(gl); got != mask {
+			t.Fatalf("mask mismatch for %+v: %#x vs %#x", gl, got, mask)
 		}
 	}
-	for gl, mask := range lv.present {
-		if counts[gl] != mask {
-			t.Fatalf("stale mask for %+v", gl)
-		}
+	// The index cannot be ranged over: equal key counts plus the matches
+	// above rule out stale keys, and Check covers the table's structure.
+	if lv.present.Len() != len(counts) {
+		t.Fatalf("index holds %d lines, slices hold %d", lv.present.Len(), len(counts))
+	}
+	if err := lv.present.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
