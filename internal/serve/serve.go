@@ -617,7 +617,7 @@ func (c *Cache) setLocked(t target, key string, val []byte) {
 		var oldest uint64
 		for m := sh.partMask[slot]; m != 0; m &= m - 1 {
 			p := bits.TrailingZeros32(m)
-			age, valid := sh.slices[p].VictimAge(line)
+			_, age, valid := sh.slices[p].Victim(line)
 			if !valid {
 				phys = p
 				break
