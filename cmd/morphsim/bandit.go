@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"morphcache/internal/baselines/bandit"
@@ -45,7 +46,7 @@ func banditOptions(arms, strategy string, window, warmup int, reward string, eps
 // printBanditSummary renders the decision report after the standard run
 // lines: the arm schedule as a run-length string, the per-arm play counts,
 // and any reward-degradation warnings.
-func printBanditSummary(rep *bandit.Report) {
+func printBanditSummary(w io.Writer, rep *bandit.Report) {
 	var parts []string
 	for i := 0; i < len(rep.Windows); {
 		j := i
@@ -55,13 +56,13 @@ func printBanditSummary(rep *bandit.Report) {
 		parts = append(parts, fmt.Sprintf("%s x%d", rep.Windows[i].Arm, j-i))
 		i = j
 	}
-	fmt.Printf("bandit: %s/%s, %d-epoch windows, %d switches, %d resets\n",
+	fmt.Fprintf(w, "bandit: %s/%s, %d-epoch windows, %d switches, %d resets\n",
 		rep.Strategy, rep.Reward, rep.WindowEpochs, rep.Switches, rep.Resets)
-	fmt.Printf("  schedule: %s\n", strings.Join(parts, " -> "))
+	fmt.Fprintf(w, "  schedule: %s\n", strings.Join(parts, " -> "))
 	for _, a := range rep.Arms {
-		fmt.Printf("  arm %-18s plays=%2d  mean reward=%8.4f\n", a.Name, a.Plays, a.MeanReward)
+		fmt.Fprintf(w, "  arm %-18s plays=%2d  mean reward=%8.4f\n", a.Name, a.Plays, a.MeanReward)
 	}
 	for _, warn := range rep.Warnings {
-		fmt.Printf("  note: %s\n", warn)
+		fmt.Fprintf(w, "  note: %s\n", warn)
 	}
 }

@@ -2,21 +2,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"morphcache/internal/hierarchy"
 )
 
 // dumpStats prints the hierarchy's event counters and per-slice utilization
 // estimates (enabled by -stats).
-func dumpStats(sys *hierarchy.System) {
+func dumpStats(w io.Writer, sys *hierarchy.System) {
 	st := sys.Stats()
 	tot := float64(st.Accesses)
-	fmt.Printf("accesses=%d  L1=%.1f%%  L2loc=%.1f%% L2rem=%.1f%%  L3loc=%.1f%% L3rem=%.1f%%  c2c=%.1f%% mem=%.1f%%\n",
+	fmt.Fprintf(w, "accesses=%d  L1=%.1f%%  L2loc=%.1f%% L2rem=%.1f%%  L3loc=%.1f%% L3rem=%.1f%%  c2c=%.1f%% mem=%.1f%%\n",
 		st.Accesses,
 		100*float64(st.L1Hits)/tot,
 		100*float64(st.L2Local)/tot, 100*float64(st.L2Remote)/tot,
 		100*float64(st.L3Local)/tot, 100*float64(st.L3Remote)/tot,
 		100*float64(st.C2C)/tot, 100*float64(st.MemReads)/tot)
-	fmt.Printf("coherenceInv=%d lazyInv=%d inclusionInv=%d backInv=%d migrations=%d writebacks=%d\n",
+	fmt.Fprintf(w, "coherenceInv=%d lazyInv=%d inclusionInv=%d backInv=%d migrations=%d writebacks=%d\n",
 		st.CoherenceInv, st.LazyInv, st.InclusionInv, st.BackInv, st.Migrations, st.Writeback)
 }

@@ -37,8 +37,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -58,63 +60,80 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point; it returns the process exit code
+// (0 = success, 1 = rejected configuration or failed run, 2 = usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "morphsim:", err)
+		return 1
+	}
+	fs := flag.NewFlagSet("morphsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wl          = flag.String("workload", "MIX 01", "Table 5 mix name or PARSEC benchmark name")
-		policy      = flag.String("policy", "morph", `policy: "(x:y:z)", morph, morph-nodegrade, morph-qos, morph-split-aggressive, morph-arbitrary, morph-nonneighbor, pipp, dsr`)
-		epochs      = flag.Int("epochs", 20, "measured epochs")
-		warmup      = flag.Int("warmup", 2, "warmup epochs (unmeasured)")
-		epochCycles = flag.Uint64("epoch-cycles", 1_000_000, "cycles per reconfiguration interval")
-		cores       = flag.Int("cores", 16, "number of cores (power of two)")
-		seed        = flag.Uint64("seed", 1, "workload seed")
-		scale       = flag.Int("scale", 16, "capacity scale divisor (1 = full Table 3 sizes)")
-		verbose     = flag.Bool("verbose", false, "print per-epoch topology and throughput")
-		stats       = flag.Bool("stats", false, "print hierarchy event counters after the run")
-		traceOut    = flag.String("trace-out", "", "record the reference streams to this file")
-		traceIn     = flag.String("trace-in", "", "replay reference streams from this file instead of the synthetic workload")
-		jsonOut     = flag.Bool("json", false, "emit the run report as JSON on stdout (alias for -out json)")
-		outFmt      = flag.String("out", "", "emit the run report on stdout: json (report + telemetry) or csv (per-epoch, per-core telemetry rows)")
-		epochLog    = flag.String("epochlog", "", "write the run's epoch telemetry (JSON) to this file")
-		faults      = flag.Int("faults", 0, "inject this many deterministic hardware-fault events into the measured region (0 = none)")
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed of the generated fault plan (with -faults)")
-		adminAddr   = flag.String("admin", "", "serve the admin endpoint (/metrics, /jobs, /healthz, /debug/pprof) on this address, e.g. :9190 or 127.0.0.1:0")
-		spanTrace   = flag.String("trace", "", "write a Chrome trace-event JSON of simulator phases to this file (open in chrome://tracing)")
-		sampledRun  = flag.Bool("sampled", false, "sampled simulation: cluster epochs into phases, simulate one representative window per phase, reconstruct full-run metrics (DESIGN.md §13)")
-		sampledK    = flag.Int("sampled-phases", 0, "with -sampled: maximum number of phases (0 = default 4)")
-		sampledWarm = flag.Int("sampled-warmup", -1, "with -sampled: unmeasured warmup epochs per window (-1 = default 2, 0 = none)")
-		sampledWin  = flag.Uint64("sampled-window", 0, "with -sampled: truncate window epochs to this many cycles (0 = full epochs)")
-		sampledRefs = flag.Int("sampled-refs", 0, "with -sampled: profiled references per core per epoch (0 = default 2048)")
-		banditRun   = flag.Bool("bandit", false, "bandit meta-policy: pick one policy per window of epochs from the arm zoo, learn from observed rewards, stitch the measured epochs (DESIGN.md §16; replaces -policy)")
-		banditArms  = flag.String("bandit-arms", "", `with -bandit: comma-separated arm list in the -policy vocabulary, e.g. "morph,pipp,dsr,(4:4:1)" (empty = morph, pipp, dsr, and the standard statics)`)
-		banditStrat = flag.String("bandit-strategy", "", "with -bandit: ucb1 or epsilon (empty = default ucb1)")
-		banditWin   = flag.Int("bandit-window", 0, "with -bandit: measured epochs per window (0 = default 2)")
-		banditWarm  = flag.Int("bandit-warmup", -1, "with -bandit: unmeasured warmup epochs per window (-1 = default 1, 0 = none)")
-		banditRew   = flag.String("bandit-reward", "", "with -bandit: reward signal: throughput, mpki, or energy (empty = default throughput)")
-		banditEps   = flag.Float64("bandit-epsilon", 0, "with -bandit: exploration probability of the epsilon strategy (0 = default 0.1)")
+		wl          = fs.String("workload", "MIX 01", "Table 5 mix name or PARSEC benchmark name")
+		policy      = fs.String("policy", "morph", `policy: "(x:y:z)", morph, morph-nodegrade, morph-qos, morph-split-aggressive, morph-arbitrary, morph-nonneighbor, pipp, dsr`)
+		epochs      = fs.Int("epochs", 20, "measured epochs")
+		warmup      = fs.Int("warmup", 2, "warmup epochs (unmeasured)")
+		epochCycles = fs.Uint64("epoch-cycles", 1_000_000, "cycles per reconfiguration interval")
+		cores       = fs.Int("cores", 16, "number of cores (power of two)")
+		seed        = fs.Uint64("seed", 1, "workload seed")
+		scale       = fs.Int("scale", 16, "capacity scale divisor (1 = full Table 3 sizes)")
+		verbose     = fs.Bool("verbose", false, "print per-epoch topology and throughput")
+		stats       = fs.Bool("stats", false, "print hierarchy event counters after the run")
+		traceOut    = fs.String("trace-out", "", "record the reference streams to this file")
+		traceIn     = fs.String("trace-in", "", "replay reference streams from this file instead of the synthetic workload")
+		jsonOut     = fs.Bool("json", false, "emit the run report as JSON on stdout (alias for -out json)")
+		outFmt      = fs.String("out", "", "emit the run report on stdout: json (report + telemetry) or csv (per-epoch, per-core telemetry rows)")
+		epochLog    = fs.String("epochlog", "", "write the run's epoch telemetry (JSON) to this file")
+		faults      = fs.Int("faults", 0, "inject this many deterministic hardware-fault events into the measured region (0 = none)")
+		faultSeed   = fs.Uint64("fault-seed", 1, "seed of the generated fault plan (with -faults)")
+		adminAddr   = fs.String("admin", "", "serve the admin endpoint (/metrics, /jobs, /healthz, /debug/pprof) on this address, e.g. :9190 or 127.0.0.1:0")
+		spanTrace   = fs.String("trace", "", "write a Chrome trace-event JSON of simulator phases to this file (open in chrome://tracing)")
+		sampledRun  = fs.Bool("sampled", false, "sampled simulation: cluster epochs into phases, simulate one representative window per phase, reconstruct full-run metrics (DESIGN.md §13)")
+		sampledK    = fs.Int("sampled-phases", 0, "with -sampled: maximum number of phases (0 = default 4)")
+		sampledWarm = fs.Int("sampled-warmup", -1, "with -sampled: unmeasured warmup epochs per window (-1 = default 2, 0 = none)")
+		sampledWin  = fs.Uint64("sampled-window", 0, "with -sampled: truncate window epochs to this many cycles (0 = full epochs)")
+		sampledRefs = fs.Int("sampled-refs", 0, "with -sampled: profiled references per core per epoch (0 = default 2048)")
+		banditRun   = fs.Bool("bandit", false, "bandit meta-policy: pick one policy per window of epochs from the arm zoo, learn from observed rewards, stitch the measured epochs (DESIGN.md §16; replaces -policy)")
+		banditArms  = fs.String("bandit-arms", "", `with -bandit: comma-separated arm list in the -policy vocabulary, e.g. "morph,pipp,dsr,(4:4:1)" (empty = morph, pipp, dsr, and the standard statics)`)
+		banditStrat = fs.String("bandit-strategy", "", "with -bandit: ucb1 or epsilon (empty = default ucb1)")
+		banditWin   = fs.Int("bandit-window", 0, "with -bandit: measured epochs per window (0 = default 2)")
+		banditWarm  = fs.Int("bandit-warmup", -1, "with -bandit: unmeasured warmup epochs per window (-1 = default 1, 0 = none)")
+		banditRew   = fs.String("bandit-reward", "", "with -bandit: reward signal: throughput, mpki, or energy (empty = default throughput)")
+		banditEps   = fs.Float64("bandit-epsilon", 0, "with -bandit: exploration probability of the epsilon strategy (0 = default 0.1)")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
 		// A stray positional argument is a mistyped flag, not a request for
 		// the default run; succeeding silently would hide it.
-		fatal(fmt.Errorf("unexpected arguments: %v (all options are flags)", flag.Args()))
+		return fail(fmt.Errorf("unexpected arguments: %v (all options are flags)", fs.Args()))
 	}
 	if *jsonOut && *outFmt == "" {
 		*outFmt = "json"
 	}
 	if *outFmt != "" && *outFmt != "json" && *outFmt != "csv" {
-		fatal(fmt.Errorf("-out must be json or csv (got %q)", *outFmt))
+		return fail(fmt.Errorf("-out must be json or csv (got %q)", *outFmt))
 	}
 
 	var sopts sampled.Options
 	if *sampledRun {
 		switch {
 		case *traceIn != "":
-			fatal(fmt.Errorf("-sampled needs re-runnable synthetic sources; -trace-in replay is full-run only"))
+			return fail(fmt.Errorf("-sampled needs re-runnable synthetic sources; -trace-in replay is full-run only"))
 		case *traceOut != "":
-			fatal(fmt.Errorf("-sampled simulates only representative windows; record traces with a full run (drop -sampled)"))
+			return fail(fmt.Errorf("-sampled simulates only representative windows; record traces with a full run (drop -sampled)"))
 		case *faults > 0:
-			fatal(fmt.Errorf("-sampled cannot honor a fault plan: faults damage specific epochs, and a sampled run does not simulate them all"))
+			return fail(fmt.Errorf("-sampled cannot honor a fault plan: faults damage specific epochs, and a sampled run does not simulate them all"))
 		case *stats:
-			fatal(fmt.Errorf("-stats reports one run's hierarchy; a sampled run simulates several independent windows (drop -stats)"))
+			return fail(fmt.Errorf("-stats reports one run's hierarchy; a sampled run simulates several independent windows (drop -stats)"))
 		}
 		sopts = sampledOptions(*sampledK, *sampledWarm, *sampledWin, *sampledRefs)
 	}
@@ -123,15 +142,15 @@ func main() {
 	if *banditRun {
 		switch {
 		case *sampledRun:
-			fatal(fmt.Errorf("-bandit and -sampled both re-slice the run into windows; pick one"))
+			return fail(fmt.Errorf("-bandit and -sampled both re-slice the run into windows; pick one"))
 		case *traceIn != "":
-			fatal(fmt.Errorf("-bandit needs re-runnable synthetic sources; -trace-in replay is full-run only"))
+			return fail(fmt.Errorf("-bandit needs re-runnable synthetic sources; -trace-in replay is full-run only"))
 		case *traceOut != "":
-			fatal(fmt.Errorf("-bandit simulates overlapping per-window streams; record traces with a full run (drop -bandit)"))
+			return fail(fmt.Errorf("-bandit simulates overlapping per-window streams; record traces with a full run (drop -bandit)"))
 		case *faults > 0:
-			fatal(fmt.Errorf("-bandit cannot honor a fault plan: windows run on fresh targets, and faults damage specific epochs of one persistent hierarchy"))
+			return fail(fmt.Errorf("-bandit cannot honor a fault plan: windows run on fresh targets, and faults damage specific epochs of one persistent hierarchy"))
 		case *stats:
-			fatal(fmt.Errorf("-stats reports one run's hierarchy; a bandit run builds a fresh target per window (drop -stats)"))
+			return fail(fmt.Errorf("-stats reports one run's hierarchy; a bandit run builds a fresh target per window (drop -stats)"))
 		}
 		bopts = banditOptions(*banditArms, *banditStrat, *banditWin, *banditWarm, *banditRew, *banditEps)
 	}
@@ -146,11 +165,11 @@ func main() {
 			Events:     *faults,
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		plan = p
 		for _, e := range plan.Events {
-			fmt.Fprintln(os.Stderr, "morphsim: fault:", e)
+			fmt.Fprintln(stderr, "morphsim: fault:", e)
 		}
 	}
 
@@ -176,7 +195,7 @@ func main() {
 		vcfg.Bandit = &bopts
 	}
 	if err := vcfg.Validate(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	cfg := sim.DefaultConfig()
@@ -218,33 +237,33 @@ func main() {
 	if !*sampledRun && !*banditRun {
 		t, err := newTarget(*policy)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		target = t
 		if ht, ok := t.(*sim.HierarchyTarget); ok {
 			sys = ht.Sys
 		} else if *stats {
-			fatal(fmt.Errorf("-stats reports hierarchy counters; %q manages its own caches (drop -stats)", *policy))
+			return fail(fmt.Errorf("-stats reports hierarchy counters; %q manages its own caches (drop -stats)", *policy))
 		}
 		switch {
 		case *traceIn != "":
 			srcs, err = replaySources(*traceIn, *cores)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		case *traceOut != "":
 			gens, err := w.Generators(vcfg)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			srcs, finish, err = wrapRecording(gens, *traceOut)
+			srcs, finish, err = wrapRecording(stdout, gens, *traceOut)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		default:
 			srcs, err = newSources()
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 	}
@@ -258,9 +277,9 @@ func main() {
 	if *banditRun {
 		label = "bandit " + *wl
 	}
-	obsDone, observer, err := obsSetup(ctx, *adminAddr, *spanTrace, label)
+	obsDone, observer, err := obsSetup(ctx, stderr, *adminAddr, *spanTrace, label)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer obsDone()
 	cfg.Observer = observer
@@ -314,7 +333,7 @@ func main() {
 	select {
 	case o := <-ch:
 		if o.err != nil {
-			fatal(o.err)
+			return fail(o.err)
 		}
 		run, srep, brep = o.run, o.rep, o.brep
 		if tl != nil && o.slog != nil {
@@ -325,11 +344,11 @@ func main() {
 		}
 	case <-ctx.Done():
 		stopSignals()
-		fatal(fmt.Errorf("interrupted (%v); partial results discarded", ctx.Err()))
+		return fail(fmt.Errorf("interrupted (%v); partial results discarded", ctx.Err()))
 	}
 	if finish != nil {
 		if err := finish(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
@@ -339,51 +358,52 @@ func main() {
 	}
 	if *epochLog != "" {
 		if err := writeEpochLog(*epochLog, tl); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	switch *outFmt {
 	case "json":
-		if err := emitJSON(os.Stdout, source, cfg, run, sys, tl, srep, brep); err != nil {
-			fatal(err)
+		if err := emitJSON(stdout, source, cfg, run, sys, tl, srep, brep); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	case "csv":
-		if err := tl.WriteCSV(os.Stdout); err != nil {
-			fatal(err)
+		if err := tl.WriteCSV(stdout); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
-	fmt.Printf("workload=%q policy=%q epochs=%d epoch-cycles=%d\n", source, run.Policy, len(run.Epochs), cfg.EpochCycles)
+	fmt.Fprintf(stdout, "workload=%q policy=%q epochs=%d epoch-cycles=%d\n", source, run.Policy, len(run.Epochs), cfg.EpochCycles)
 	if *verbose {
 		for _, e := range run.Epochs {
-			fmt.Printf("  epoch %2d  throughput=%6.3f  topology=%s\n", e.Index, e.Throughput(), e.Topology)
+			fmt.Fprintf(stdout, "  epoch %2d  throughput=%6.3f  topology=%s\n", e.Index, e.Throughput(), e.Topology)
 		}
 	}
-	fmt.Printf("throughput (sum IPC): %.4f\n", run.Throughput())
+	fmt.Fprintf(stdout, "throughput (sum IPC): %.4f\n", run.Throughput())
 	if run.Reconfigurations > 0 {
-		fmt.Printf("reconfigurations: %d (asymmetric outcome in %d/%d intervals)\n",
+		fmt.Fprintf(stdout, "reconfigurations: %d (asymmetric outcome in %d/%d intervals)\n",
 			run.Reconfigurations, run.AsymmetricSteps, len(run.Epochs))
 	}
 	if brep != nil {
-		printBanditSummary(brep)
+		printBanditSummary(stdout, brep)
 	}
 	if srep != nil {
-		fmt.Printf("sampled: %d phases over %d measured epochs; %d window epochs simulated (%.1fx cycle speedup)\n",
+		fmt.Fprintf(stdout, "sampled: %d phases over %d measured epochs; %d window epochs simulated (%.1fx cycle speedup)\n",
 			len(srep.Phases), srep.MeasuredEpochs, srep.SimulatedEpochs, srep.Speedup)
 		for _, ph := range srep.Phases {
-			fmt.Printf("  phase rep=%-3d weight=%.2f radius=%.3f throughput=%6.3f topology=%s\n",
+			fmt.Fprintf(stdout, "  phase rep=%-3d weight=%.2f radius=%.3f throughput=%6.3f topology=%s\n",
 				ph.Representative, ph.Weight, ph.Radius, ph.Throughput, ph.Topology)
 		}
-		fmt.Printf("reconstructed: throughput %.4f +/- %.4f", srep.Throughput.Value, srep.Throughput.Err)
+		fmt.Fprintf(stdout, "reconstructed: throughput %.4f +/- %.4f", srep.Throughput.Value, srep.Throughput.Err)
 		if srep.MPKI.Value > 0 {
-			fmt.Printf(", MPKI %.3f +/- %.3f", srep.MPKI.Value, srep.MPKI.Err)
+			fmt.Fprintf(stdout, ", MPKI %.3f +/- %.3f", srep.MPKI.Value, srep.MPKI.Err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *stats && sys != nil {
-		dumpStats(sys)
+		dumpStats(stdout, sys)
 	}
+	return 0
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // mints the run's observer. The returned teardown writes the trace file and
 // drains the server; with neither flag set everything is nil/no-op and the
 // run is unobserved.
-func obsSetup(ctx context.Context, adminAddr, traceFile, label string) (teardown func(), observer *obs.Observer, err error) {
+func obsSetup(ctx context.Context, stderr io.Writer, adminAddr, traceFile, label string) (teardown func(), observer *obs.Observer, err error) {
 	if adminAddr == "" && traceFile == "" {
 		return func() {}, nil, nil
 	}
@@ -25,7 +26,7 @@ func obsSetup(ctx context.Context, adminAddr, traceFile, label string) (teardown
 		if srv, err = obs.Serve(adminAddr, admin); err != nil {
 			return nil, nil, err
 		}
-		fmt.Fprintf(os.Stderr, "morphsim: admin endpoint on http://%s (/metrics, /jobs, /healthz, /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(stderr, "morphsim: admin endpoint on http://%s (/metrics, /jobs, /healthz, /debug/pprof)\n", srv.Addr())
 		// An interrupt flips /healthz to draining right away, before the
 		// engine goroutine notices the cancellation.
 		go func() {
@@ -36,8 +37,8 @@ func obsSetup(ctx context.Context, adminAddr, traceFile, label string) (teardown
 	observer = hub.Observer(label)
 	teardown = func() {
 		if traceFile != "" {
-			if err := writeSpanTrace(hub, traceFile); err != nil {
-				fmt.Fprintln(os.Stderr, "morphsim:", err)
+			if err := writeSpanTrace(stderr, hub, traceFile); err != nil {
+				fmt.Fprintln(stderr, "morphsim:", err)
 				os.Exit(1)
 			}
 		}
@@ -45,7 +46,7 @@ func obsSetup(ctx context.Context, adminAddr, traceFile, label string) (teardown
 			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			if err := srv.Shutdown(sctx); err != nil {
-				fmt.Fprintln(os.Stderr, "morphsim: admin shutdown:", err)
+				fmt.Fprintln(stderr, "morphsim: admin shutdown:", err)
 			}
 		}
 	}
@@ -54,7 +55,7 @@ func obsSetup(ctx context.Context, adminAddr, traceFile, label string) (teardown
 
 // writeSpanTrace dumps the collected phase spans as a Chrome trace-event
 // document (load it in chrome://tracing or ui.perfetto.dev).
-func writeSpanTrace(hub *obs.Hub, path string) error {
+func writeSpanTrace(stderr io.Writer, hub *obs.Hub, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("write trace: %w", err)
@@ -66,6 +67,6 @@ func writeSpanTrace(hub *obs.Hub, path string) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("write trace: %w", err)
 	}
-	fmt.Fprintln(os.Stderr, "morphsim: trace written to", path)
+	fmt.Fprintln(stderr, "morphsim: trace written to", path)
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"morphcache/internal/mem"
@@ -40,7 +41,7 @@ func (r *recordingSource) Next() mem.Access {
 }
 
 // wrapRecording wraps every generator with a recorder into the given file.
-func wrapRecording(gens []*workload.Generator, path string) ([]sim.Source, func() error, error) {
+func wrapRecording(stdout io.Writer, gens []*workload.Generator, path string) ([]sim.Source, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
@@ -59,7 +60,7 @@ func wrapRecording(gens []*workload.Generator, path string) ([]sim.Source, func(
 			f.Close()
 			return err
 		}
-		fmt.Printf("recorded %d references to %s\n", w.Records(), path)
+		fmt.Fprintf(stdout, "recorded %d references to %s\n", w.Records(), path)
 		return f.Close()
 	}
 	return srcs, done, nil
