@@ -43,20 +43,14 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"time"
+	"strings"
 
 	mc "morphcache"
 
-	"morphcache/internal/baselines/bandit"
 	"morphcache/internal/core"
 	"morphcache/internal/fault"
-	"morphcache/internal/hierarchy"
-	"morphcache/internal/metrics"
-	"morphcache/internal/sampled"
-	"morphcache/internal/sim"
-	"morphcache/internal/telemetry"
+	"morphcache/internal/trace"
 	"morphcache/internal/workload"
-	"morphcache/internal/zoo"
 )
 
 func main() {
@@ -65,7 +59,9 @@ func main() {
 
 // run is the testable entry point; it returns the process exit code
 // (0 = success, 1 = rejected configuration or failed run, 2 = usage error).
-func run(args []string, stdout, stderr io.Writer) int {
+// It turns the flags into one facade run spec, runs it through
+// morphcache.RunBatch, and prints the Result.
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "morphsim:", err)
 		return 1
@@ -123,59 +119,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-out must be json or csv (got %q)", *outFmt))
 	}
 
-	var sopts sampled.Options
-	if *sampledRun {
-		switch {
-		case *traceIn != "":
-			return fail(fmt.Errorf("-sampled needs re-runnable synthetic sources; -trace-in replay is full-run only"))
-		case *traceOut != "":
-			return fail(fmt.Errorf("-sampled simulates only representative windows; record traces with a full run (drop -sampled)"))
-		case *faults > 0:
-			return fail(fmt.Errorf("-sampled cannot honor a fault plan: faults damage specific epochs, and a sampled run does not simulate them all"))
-		case *stats:
-			return fail(fmt.Errorf("-stats reports one run's hierarchy; a sampled run simulates several independent windows (drop -stats)"))
-		}
-		sopts = sampledOptions(*sampledK, *sampledWarm, *sampledWin, *sampledRefs)
-	}
-
-	var bopts mc.BanditConfig
-	if *banditRun {
-		switch {
-		case *sampledRun:
-			return fail(fmt.Errorf("-bandit and -sampled both re-slice the run into windows; pick one"))
-		case *traceIn != "":
-			return fail(fmt.Errorf("-bandit needs re-runnable synthetic sources; -trace-in replay is full-run only"))
-		case *traceOut != "":
-			return fail(fmt.Errorf("-bandit simulates overlapping per-window streams; record traces with a full run (drop -bandit)"))
-		case *faults > 0:
-			return fail(fmt.Errorf("-bandit cannot honor a fault plan: windows run on fresh targets, and faults damage specific epochs of one persistent hierarchy"))
-		case *stats:
-			return fail(fmt.Errorf("-stats reports one run's hierarchy; a bandit run builds a fresh target per window (drop -stats)"))
-		}
-		bopts = banditOptions(*banditArms, *banditStrat, *banditWin, *banditWarm, *banditRew, *banditEps)
-	}
-
-	// Build the fault plan first so validation below covers it too.
 	var plan *fault.Plan
 	if *faults > 0 {
-		p, err := fault.NewPlan(*faultSeed, fault.Spec{
-			Cores:      *cores,
-			FirstEpoch: *warmup,
-			Epochs:     *epochs,
-			Events:     *faults,
-		})
+		var err error
+		plan, err = fault.NewPlan(*faultSeed, fault.Spec{Cores: *cores, FirstEpoch: *warmup, Epochs: *epochs, Events: *faults})
 		if err != nil {
 			return fail(err)
 		}
-		plan = p
 		for _, e := range plan.Events {
 			fmt.Fprintln(stderr, "morphsim: fault:", e)
 		}
 	}
 
-	// Validate the flag-assembled configuration through the facade's rules
-	// (power-of-two cores, positive epochs, in-range fault events, ...).
-	vcfg := mc.Config{
+	// The facade checks the configuration and the mode conflicts (sampled,
+	// bandit, faults, trace replay and recording) before it simulates.
+	cfg := mc.Config{
 		Cores:        *cores,
 		Scale:        *scale,
 		Epochs:       *epochs,
@@ -183,230 +141,146 @@ func run(args []string, stdout, stderr io.Writer) int {
 		EpochCycles:  *epochCycles,
 		Seed:         *seed,
 		Morph:        core.DefaultOptions(),
-		Faults:       plan,
+		// Structured output wants the epoch log; the default text path
+		// keeps telemetry off (results are identical either way).
+		Telemetry: *outFmt != "" || *epochLog != "",
+		Faults:    plan,
+	}
+	spec := mc.RunSpec{Policy: *policy, Workload: mc.Parsec(*wl)}
+	if _, err := workload.MixByName(*wl); err == nil {
+		spec.Workload = mc.Mix(*wl)
 	}
 	if *sampledRun {
-		vcfg.Sampled = &sopts
+		o := mc.DefaultSampledConfig()
+		if *sampledK > 0 {
+			o.MaxPhases = *sampledK
+		}
+		o.WindowWarmup = windowWarmup(*sampledWarm, o.WindowWarmup)
+		if *sampledWin > 0 {
+			o.WindowCycles = *sampledWin
+		}
+		if *sampledRefs > 0 {
+			o.ProfileRefs = *sampledRefs
+		}
+		cfg.Sampled = &o
 	}
 	if *banditRun {
-		if len(bopts.Arms) == 0 {
-			bopts.Arms = mc.DefaultBanditArms(vcfg)
+		// Empty arms select the facade's default zoo.
+		o := mc.DefaultBanditConfig()
+		if *banditArms != "" {
+			for _, a := range strings.Split(*banditArms, ",") {
+				o.Arms = append(o.Arms, strings.TrimSpace(a))
+			}
 		}
-		vcfg.Bandit = &bopts
-	}
-	if err := vcfg.Validate(); err != nil {
-		return fail(err)
-	}
-
-	cfg := sim.DefaultConfig()
-	cfg.Epochs = *epochs
-	cfg.WarmupEpochs = *warmup
-	cfg.EpochCycles = *epochCycles
-	cfg.Seed = *seed
-	cfg.Faults = plan
-	// Structured output wants the epoch log; the default text path keeps
-	// telemetry off (results are identical either way).
-	var tl *telemetry.Log
-	if *outFmt != "" || *epochLog != "" {
-		tl = telemetry.NewLog()
-		cfg.Recorder = tl
-	}
-
-	// Every target comes from the policy zoo, so -policy and -bandit-arms
-	// share one vocabulary with the facade. Windowed runs build a fresh
-	// target and fresh sources per window; a full run builds one of each,
-	// target first.
-	w := mc.Parsec(*wl)
-	if _, err := workload.MixByName(*wl); err == nil {
-		w = mc.Mix(*wl)
-	}
-	newTarget := func(name string) (sim.Target, error) {
-		return zoo.Target(vcfg.Params(), vcfg.Morph, name)
-	}
-	newSources := func() ([]sim.Source, error) {
-		gens, err := w.Generators(vcfg)
-		if err != nil {
-			return nil, err
+		if *banditStrat != "" {
+			o.Strategy = *banditStrat
 		}
-		return sim.FromGenerators(gens), nil
+		if *banditWin > 0 {
+			o.WindowEpochs = *banditWin
+		}
+		o.WindowWarmup = windowWarmup(*banditWarm, o.WindowWarmup)
+		if *banditRew != "" {
+			o.Reward = *banditRew
+		}
+		if *banditEps > 0 {
+			o.Epsilon = *banditEps
+		}
+		cfg.Bandit = &o
+		spec.Policy = "bandit"
 	}
-	var target sim.Target
-	var sys *hierarchy.System
-	var srcs []sim.Source
-	var finish func() error
-	if !*sampledRun && !*banditRun {
-		t, err := newTarget(*policy)
+	if *traceIn != "" {
+		w, err := mc.Replay(*traceIn)
 		if err != nil {
 			return fail(err)
 		}
-		target = t
-		if ht, ok := t.(*sim.HierarchyTarget); ok {
-			sys = ht.Sys
-		} else if *stats {
-			return fail(fmt.Errorf("-stats reports hierarchy counters; %q manages its own caches (drop -stats)", *policy))
+		spec.Workload = w
+	}
+	var traceFile *os.File
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			return fail(err)
 		}
-		switch {
-		case *traceIn != "":
-			srcs, err = replaySources(*traceIn, *cores)
-			if err != nil {
-				return fail(err)
+		// A failed or rejected run leaves no partial trace behind.
+		defer func() {
+			if code != 0 {
+				f.Close()
+				os.Remove(*traceOut)
 			}
-		case *traceOut != "":
-			gens, err := w.Generators(vcfg)
-			if err != nil {
-				return fail(err)
-			}
-			srcs, finish, err = wrapRecording(stdout, gens, *traceOut)
-			if err != nil {
-				return fail(err)
-			}
-		default:
-			srcs, err = newSources()
-			if err != nil {
-				return fail(err)
-			}
+		}()
+		if spec.Record, err = trace.NewWriter(f, *cores); err != nil {
+			return fail(err)
 		}
+		traceFile = f
 	}
 
 	// ^C while the engine runs exits 1 with a clear message instead of the
-	// default silent kill; a second ^C (after stopSignals) force-kills.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
-
-	label := *policy + " " + *wl
-	if *banditRun {
-		label = "bandit " + *wl
-	}
-	obsDone, observer, err := obsSetup(ctx, stderr, *adminAddr, *spanTrace, label)
+	// default silent kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	observe, obsDone, err := obsSetup(ctx, stderr, *adminAddr, *spanTrace)
 	if err != nil {
 		return fail(err)
 	}
-	defer obsDone()
-	cfg.Observer = observer
-
-	type runOutcome struct {
-		run  *metrics.Run
-		rep  *sampled.Report
-		brep *bandit.Report
-		slog *telemetry.Log
-		err  error
+	res, err := mc.RunBatch(cfg, []mc.RunSpec{spec}, mc.BatchOptions{Workers: 1, Context: ctx, Observe: observe})
+	if oerr := obsDone(); err == nil {
+		err = oerr
 	}
-	ch := make(chan runOutcome, 1)
-	go func() {
-		observer.JobStarted()
-		start := time.Now()
-		var o runOutcome
-		switch {
-		case *banditRun:
-			rr, err := bandit.Run(cfg, bopts, bandit.Factories{NewTarget: newTarget, NewSources: newSources})
-			if err != nil {
-				o.err = err
-			} else {
-				o = runOutcome{run: rr.Run, brep: rr.Report}
-			}
-		case *sampledRun:
-			f := sampled.Factories{
-				NewTarget:  func() (sim.Target, error) { return newTarget(*policy) },
-				NewSources: newSources,
-			}
-			key := fmt.Sprintf("%s|c%d|x%d|cy%d", *wl, *cores, *scale, cfg.EpochCycles)
-			rr, err := sampled.Run(cfg, sopts, key, f)
-			if err != nil {
-				o.err = err
-			} else {
-				o = runOutcome{run: rr.Run, rep: rr.Report, slog: rr.Log}
-			}
-		default:
-			eng, err := sim.NewFromSources(cfg, target, srcs)
-			if err != nil {
-				o.err = err
-			} else {
-				o.run = eng.Run()
-			}
-		}
-		observer.JobFinished(o.err, time.Since(start))
-		ch <- o
-	}()
-	var run *metrics.Run
-	var srep *sampled.Report
-	var brep *bandit.Report
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			return fail(o.err)
-		}
-		run, srep, brep = o.run, o.rep, o.brep
-		if tl != nil && o.slog != nil {
-			// Sampled runs record their windows into their own log (absolute
-			// epoch indices, warmup records flagged); that log is the one
-			// structured output should carry.
-			tl = o.slog
-		}
-	case <-ctx.Done():
-		stopSignals()
+	switch {
+	case err != nil && ctx.Err() != nil:
 		return fail(fmt.Errorf("interrupted (%v); partial results discarded", ctx.Err()))
+	case err != nil:
+		// The batch prefixes the job's error with its index and label; a
+		// one-job batch needs neither.
+		if inner := errors.Unwrap(err); inner != nil {
+			err = inner
+		}
+		return fail(err)
 	}
-	if finish != nil {
-		if err := finish(); err != nil {
+	r := res[0]
+	if *stats && r.Hierarchy == nil {
+		return fail(fmt.Errorf("-stats reports the counters of one hierarchy and %q has none: PIPP and DSR manage their own caches, sampled and bandit runs build one per window (drop -stats)", spec.Label()))
+	}
+	if traceFile != nil {
+		if err := traceFile.Close(); err != nil {
 			return fail(err)
 		}
-	}
-
-	source := *wl
-	if *traceIn != "" {
-		source = "trace:" + *traceIn
+		// Structured output owns stdout.
+		note := stdout
+		if *outFmt != "" {
+			note = stderr
+		}
+		fmt.Fprintf(note, "recorded %d references to %s\n", spec.Record.Records(), *traceOut)
 	}
 	if *epochLog != "" {
-		if err := writeEpochLog(*epochLog, tl); err != nil {
+		if err := writeEpochLog(*epochLog, r.Telemetry); err != nil {
 			return fail(err)
 		}
 	}
+	source := spec.Workload.String()
 	switch *outFmt {
 	case "json":
-		if err := emitJSON(stdout, source, cfg, run, sys, tl, srep, brep); err != nil {
-			return fail(err)
-		}
-		return 0
+		err = emitJSON(stdout, source, cfg.EpochCycles, r)
 	case "csv":
-		if err := tl.WriteCSV(stdout); err != nil {
-			return fail(err)
-		}
-		return 0
+		err = r.Telemetry.WriteCSV(stdout)
+	default:
+		printText(stdout, source, cfg.EpochCycles, r, *verbose, *stats)
 	}
-	fmt.Fprintf(stdout, "workload=%q policy=%q epochs=%d epoch-cycles=%d\n", source, run.Policy, len(run.Epochs), cfg.EpochCycles)
-	if *verbose {
-		for _, e := range run.Epochs {
-			fmt.Fprintf(stdout, "  epoch %2d  throughput=%6.3f  topology=%s\n", e.Index, e.Throughput(), e.Topology)
-		}
-	}
-	fmt.Fprintf(stdout, "throughput (sum IPC): %.4f\n", run.Throughput())
-	if run.Reconfigurations > 0 {
-		fmt.Fprintf(stdout, "reconfigurations: %d (asymmetric outcome in %d/%d intervals)\n",
-			run.Reconfigurations, run.AsymmetricSteps, len(run.Epochs))
-	}
-	if brep != nil {
-		printBanditSummary(stdout, brep)
-	}
-	if srep != nil {
-		fmt.Fprintf(stdout, "sampled: %d phases over %d measured epochs; %d window epochs simulated (%.1fx cycle speedup)\n",
-			len(srep.Phases), srep.MeasuredEpochs, srep.SimulatedEpochs, srep.Speedup)
-		for _, ph := range srep.Phases {
-			fmt.Fprintf(stdout, "  phase rep=%-3d weight=%.2f radius=%.3f throughput=%6.3f topology=%s\n",
-				ph.Representative, ph.Weight, ph.Radius, ph.Throughput, ph.Topology)
-		}
-		fmt.Fprintf(stdout, "reconstructed: throughput %.4f +/- %.4f", srep.Throughput.Value, srep.Throughput.Err)
-		if srep.MPKI.Value > 0 {
-			fmt.Fprintf(stdout, ", MPKI %.3f +/- %.3f", srep.MPKI.Value, srep.MPKI.Err)
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *stats && sys != nil {
-		dumpStats(stdout, sys)
+	if err != nil {
+		return fail(err)
 	}
 	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "morphsim:", err)
-	os.Exit(1)
+// windowWarmup maps a -sampled-warmup or -bandit-warmup flag onto the
+// runners' WindowWarmup option: -1 keeps the default def, and 0 asks for
+// no warmup, which the options spell -1 (their NoWindowWarmup).
+func windowWarmup(flag, def int) int {
+	switch {
+	case flag > 0:
+		return flag
+	case flag == 0:
+		return -1
+	}
+	return def
 }

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -224,5 +227,57 @@ func TestRejected(t *testing.T) {
 	}
 	if _, err := os.Stat("t.mctr"); !os.IsNotExist(err) {
 		t.Errorf("a rejected -trace-out run left its trace file behind (stat: %v)", err)
+	}
+}
+
+// TestTraceOutStructuredOutput checks that recording under -out json
+// keeps stdout one JSON document: the "recorded" note goes to stderr.
+func TestTraceOutStructuredOutput(t *testing.T) {
+	chdirTemp(t)
+	code, stdout, stderr := runCLI(append([]string{"-trace-out", "t.mctr", "-out", "json"}, quick...)...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	dec := json.NewDecoder(strings.NewReader(stdout))
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("stdout is not JSON: %v\n%s", err, stdout)
+	}
+	if err := dec.Decode(new(any)); err != io.EOF {
+		t.Fatalf("stdout holds more than one JSON value (%v)", err)
+	}
+	if !strings.Contains(stderr, "recorded ") {
+		t.Errorf("stderr lacks the recorded note: %q", stderr)
+	}
+}
+
+// TestReplayObserverLabel checks that a replay's job span is labeled with
+// the policy and the trace it replays, not the ignored -workload flag.
+func TestReplayObserverLabel(t *testing.T) {
+	chdirTemp(t)
+	if code, _, stderr := runCLI(append([]string{"-workload", "MIX 05", "-trace-out", "m.mctr"}, quick...)...); code != 0 {
+		t.Fatalf("record: exit %d: %s", code, stderr)
+	}
+	if code, _, stderr := runCLI(append([]string{"-trace-in", "m.mctr", "-policy", "(4:4:1)", "-trace", "run.json"}, quick...)...); code != 0 {
+		t.Fatalf("replay: exit %d: %s", code, stderr)
+	}
+	b, err := os.ReadFile("run.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct{ Name, Cat string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var jobs []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat == "job" {
+			jobs = append(jobs, ev.Name)
+		}
+	}
+	if want := []string{"(4:4:1) trace:m.mctr"}; !reflect.DeepEqual(jobs, want) {
+		t.Errorf("job spans %q, want %q", jobs, want)
 	}
 }

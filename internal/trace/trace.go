@@ -50,6 +50,9 @@ type Writer struct {
 	w     *bufio.Writer
 	cores int
 	n     uint64
+	// err is the first write error of a recording Source, which cannot
+	// report it mid-run; Flush returns it.
+	err error
 }
 
 // NewWriter writes the header and returns a Writer for the given core
@@ -100,8 +103,62 @@ func (w *Writer) write(core byte, a mem.Access) error {
 // Records returns the number of records written.
 func (w *Writer) Records() uint64 { return w.n }
 
-// Flush flushes buffered records.
-func (w *Writer) Flush() error { return w.w.Flush() }
+// Flush flushes buffered records. It fails with the first error a
+// recording Source met, if any.
+func (w *Writer) Flush() error {
+	if w.err != nil {
+		return w.err
+	}
+	return w.w.Flush()
+}
+
+// Source is a per-core reference stream as the simulation engine consumes
+// it (sim.Source): the stream's address space, repositioning at an epoch
+// start, and the next reference. Cursor is one; Recording makes another.
+type Source interface {
+	ASID() mem.ASID
+	BeginEpoch(e int)
+	Next() mem.Access
+}
+
+// Recording wraps core's source so that every reference it produces, and
+// one boundary per epoch, is also written to w. Writing never stops the
+// run: the first write error is kept and returned by Flush.
+func (w *Writer) Recording(core int, src Source) Source {
+	return &recordingSource{inner: src, core: core, w: w}
+}
+
+// recordingSource mirrors everything its inner source produces into a
+// Writer.
+type recordingSource struct {
+	inner Source
+	core  int
+	w     *Writer
+}
+
+func (r *recordingSource) ASID() mem.ASID { return r.inner.ASID() }
+
+func (r *recordingSource) BeginEpoch(e int) {
+	if e > 0 && r.core == 0 {
+		// One boundary record per epoch; core 0 leads the engine's
+		// BeginEpoch sweep.
+		r.w.keep(r.w.EpochBoundary())
+	}
+	r.inner.BeginEpoch(e)
+}
+
+func (r *recordingSource) Next() mem.Access {
+	a := r.inner.Next()
+	r.w.keep(r.w.Record(r.core, a))
+	return a
+}
+
+// keep records err if it is the first one.
+func (w *Writer) keep(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
 
 // Trace is a fully loaded multi-core trace.
 type Trace struct {

@@ -279,3 +279,90 @@ func TestEpochLen(t *testing.T) {
 		t.Fatal("out-of-range epochs should be empty")
 	}
 }
+
+// TestRecordingRoundTrip records two epochs of a replay through Recording
+// and checks that the new trace replays the same streams, with one
+// boundary per epoch.
+func TestRecordingRoundTrip(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, 2)
+	srcs := []Source{
+		w.Recording(0, workload.NewGenerator(prof, workload.ScaledGenConfig(16), 1, 0, 9)),
+		w.Recording(1, workload.NewGenerator(prof, workload.ScaledGenConfig(16), 2, 1, 9)),
+	}
+	var recorded [2][]mem.Access
+	for e := 0; e < 2; e++ {
+		for c, s := range srcs {
+			s.BeginEpoch(e)
+			for i := 0; i < 100; i++ {
+				recorded[c] = append(recorded[c], s.Next())
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Epochs() != 2 || tr.Len(0) != 200 || tr.Len(1) != 200 {
+		t.Fatalf("trace shape: epochs=%d len0=%d len1=%d", tr.Epochs(), tr.Len(0), tr.Len(1))
+	}
+	for c := range recorded {
+		cur, _ := tr.Cursor(c)
+		if cur.ASID() != srcs[c].ASID() {
+			t.Fatalf("core %d: ASID %d, recorded %d", c, cur.ASID(), srcs[c].ASID())
+		}
+		for i, want := range recorded[c] {
+			if got := cur.Next(); got != want {
+				t.Fatalf("core %d ref %d: %+v != %+v", c, i, got, want)
+			}
+		}
+	}
+}
+
+// failingWriter accepts the header and fails every later write.
+type failingWriter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if f.n++; f.n > 1 {
+		return 0, errDiskFull
+	}
+	return len(p), nil
+}
+
+// TestRecordingKeepsFirstError checks that a write error does not stop
+// the recorded stream and surfaces from Flush.
+func TestRecordingKeepsFirstError(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWriter(&failingWriter{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(prof, workload.ScaledGenConfig(16), 1, 0, 9)
+	ref := workload.NewGenerator(prof, workload.ScaledGenConfig(16), 1, 0, 9)
+	src := w.Recording(0, gen)
+	for e := 0; e < 2; e++ {
+		src.BeginEpoch(e)
+		ref.BeginEpoch(e)
+		// Enough references to overflow the write buffer.
+		for i := 0; i < 1000; i++ {
+			if got, want := src.Next(), ref.Next(); got != want {
+				t.Fatalf("recording changed the stream at epoch %d ref %d", e, i)
+			}
+		}
+	}
+	if err := w.Flush(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Flush = %v, want %v", err, errDiskFull)
+	}
+}

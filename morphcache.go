@@ -32,6 +32,7 @@ package morphcache
 import (
 	"context"
 	"fmt"
+	"os"
 	"time"
 
 	"morphcache/internal/baselines/offline"
@@ -44,6 +45,7 @@ import (
 	"morphcache/internal/sim"
 	"morphcache/internal/telemetry"
 	"morphcache/internal/topology"
+	"morphcache/internal/trace"
 	"morphcache/internal/workload"
 	"morphcache/internal/zoo"
 )
@@ -215,11 +217,12 @@ func (c Config) genConfig() workload.GenConfig {
 	return workload.ScaledGenConfig(c.Scale)
 }
 
-// Workload names a workload: a Table 5 multiprogrammed mix or a PARSEC
-// application run with one thread per core.
+// Workload names a workload: a Table 5 multiprogrammed mix, a PARSEC
+// application run with one thread per core, or a recorded trace replay.
 type Workload struct {
-	name string
-	mix  bool
+	name   string
+	mix    bool
+	replay *trace.Trace
 }
 
 // Mix selects a Table 5 multiprogrammed mix ("MIX 01" .. "MIX 12").
@@ -228,11 +231,32 @@ func Mix(name string) Workload { return Workload{name: name, mix: true} }
 // Parsec selects a PARSEC benchmark (e.g. "dedup") with Cores threads.
 func Parsec(name string) Workload { return Workload{name: name} }
 
-// String returns the workload name.
+// Replay loads a reference trace recorded in the internal/trace format
+// (see RunSpec.Record): every run of the workload replays the trace's
+// per-core streams from the start, on as many cores as the trace has.
+// The file is read once, here. Only full runs replay; sampled and bandit
+// runs reject a replay workload.
+func Replay(path string) (Workload, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Workload{}, err
+	}
+	defer f.Close()
+	tr, err := trace.Read(f)
+	if err != nil {
+		return Workload{}, err
+	}
+	return Workload{name: "trace:" + path, replay: tr}, nil
+}
+
+// String returns the workload name ("trace:<path>" for a replay).
 func (w Workload) String() string { return w.name }
 
 // Generators instantiates the per-core reference generators.
 func (w Workload) Generators(c Config) ([]*workload.Generator, error) {
+	if w.replay != nil {
+		return nil, fmt.Errorf("morphcache: %s replays recorded streams; it has no generators", w.name)
+	}
 	g := c.genConfig()
 	if w.mix {
 		mix, err := workload.MixByName(w.name)
@@ -285,6 +309,13 @@ type Result struct {
 	// BanditReport describes a bandit run's arm schedule and statistics
 	// (nil for non-bandit runs).
 	BanditReport *BanditReport
+	// Hierarchy and PerCore are the hierarchy's event counters at the end
+	// of a full run on one hierarchy (static topologies and the MorphCache
+	// controllers). They are nil for PIPP and DSR, which manage their own
+	// caches, and for sampled and bandit runs, which build one target per
+	// window.
+	Hierarchy *hierarchy.Stats
+	PerCore   []hierarchy.CoreStats
 }
 
 func fromRun(r *metrics.Run) *Result {
@@ -326,7 +357,7 @@ func RunMorphCacheWithController(c Config, w Workload) (*Result, *core.Controlle
 	if c.Sampled != nil {
 		return nil, nil, fmt.Errorf("morphcache: RunMorphCacheWithController does not support sampled runs (one controller per representative window); use RunMorphCache")
 	}
-	res, target, err := c.run("RunMorphCacheWithController", "morph", w)
+	res, target, err := c.run("RunMorphCacheWithController", "morph", w, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -356,7 +387,7 @@ func RunDSR(c Config, w Workload) (*Result, error) {
 
 // runEntry is run for the entry points that return no target.
 func (c Config) runEntry(entry, policy string, w Workload) (*Result, error) {
-	res, _, err := c.run(entry, policy, w)
+	res, _, err := c.run(entry, policy, w, nil)
 	return res, err
 }
 
@@ -364,12 +395,16 @@ func (c Config) runEntry(entry, policy string, w Workload) (*Result, error) {
 // here. It validates the configuration, chooses the run mode — the bandit
 // meta-policy, sampled windows, or one full run — builds every target
 // through the policy zoo, drives the engine, and converts the outcome.
-// policy is a zoo name or "bandit"; entry names the caller in errors. A
-// full run also returns its target for post-run inspection (nil for the
-// windowed modes, which build one target per window).
-func (c Config) run(entry, policy string, w Workload) (*Result, sim.Target, error) {
+// policy is a zoo name or "bandit"; entry names the caller in errors; rec,
+// when non-nil, records the run's reference streams. A full run also
+// returns its target for post-run inspection (nil for the windowed modes,
+// which build one target per window).
+func (c Config) run(entry, policy string, w Workload, rec *trace.Writer) (*Result, sim.Target, error) {
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
+	}
+	if (w.replay != nil || rec != nil) && (policy == "bandit" || c.Sampled != nil) {
+		return nil, nil, fmt.Errorf("morphcache: %s: trace replay and recording need one full run; sampled and bandit runs simulate windows", entry)
 	}
 	switch {
 	case policy == "bandit":
@@ -391,13 +426,31 @@ func (c Config) run(entry, policy string, w Workload) (*Result, sim.Target, erro
 	if err != nil {
 		return nil, nil, err
 	}
+	if rec != nil {
+		for i, s := range srcs {
+			srcs[i] = rec.Recording(i, s)
+		}
+	}
 	sc, tl := c.instrumented()
 	eng, err := sim.NewFromSources(sc, target, srcs)
 	if err != nil {
 		return nil, nil, err
 	}
 	res := fromRun(eng.Run())
+	if rec != nil {
+		if err := rec.Flush(); err != nil {
+			return nil, nil, fmt.Errorf("morphcache: record trace: %w", err)
+		}
+	}
 	res.Telemetry = tl
+	if ht, ok := target.(*sim.HierarchyTarget); ok {
+		st := *ht.Sys.Stats()
+		res.Hierarchy = &st
+		res.PerCore = make([]hierarchy.CoreStats, ht.Sys.Cores())
+		for i := range res.PerCore {
+			res.PerCore[i] = ht.Sys.CoreStats(i)
+		}
+	}
 	return res, target, nil
 }
 
@@ -407,8 +460,23 @@ func (c Config) target(policy string) (sim.Target, error) {
 	return zoo.Target(c.Params(), c.Morph, policy)
 }
 
-// sources builds fresh reference sources for the workload.
+// sources builds fresh reference sources for the workload: one cursor
+// per core over a replayed trace, fresh generators otherwise.
 func (c Config) sources(w Workload) ([]sim.Source, error) {
+	if w.replay != nil {
+		if w.replay.Cores != c.Cores {
+			return nil, fmt.Errorf("morphcache: trace has %d cores, configuration has %d", w.replay.Cores, c.Cores)
+		}
+		srcs := make([]sim.Source, c.Cores)
+		for i := range srcs {
+			cur, err := w.replay.Cursor(i)
+			if err != nil {
+				return nil, err
+			}
+			srcs[i] = cur
+		}
+		return srcs, nil
+	}
 	gens, err := w.Generators(c)
 	if err != nil {
 		return nil, err
@@ -433,6 +501,11 @@ type RunSpec struct {
 	// Config, when non-nil, overrides the batch configuration for this job
 	// (sensitivity sweeps vary seeds, epoch lengths, and scales per job).
 	Config *Config
+	// Record, when non-nil, receives every reference the job's sources
+	// produce, one boundary per epoch, in the format Replay reads; the run
+	// flushes it and fails on its first write error. Only full runs
+	// record, and a Writer records one job.
+	Record *trace.Writer
 }
 
 // Label renders the spec for progress reporting.
@@ -461,7 +534,8 @@ func (s RunSpec) run(cfg Config, o *obs.Observer) (*Result, error) {
 	if s.Morph != nil {
 		c.Morph = *s.Morph
 	}
-	return c.runEntry(fmt.Sprintf("Policy %q", s.Policy), s.Policy, s.Workload)
+	res, _, err := c.run(fmt.Sprintf("Policy %q", s.Policy), s.Policy, s.Workload, s.Record)
+	return res, err
 }
 
 // JobEvent reports one completed batch job to a BatchOptions.Progress
