@@ -330,14 +330,8 @@ func (b *SegmentedBus) recomputeGroupSlow() {
 	}
 }
 
-// Tree exposes the arbiter tree (for tests and the physical model).
-func (b *SegmentedBus) Tree() *ArbiterTree { return b.tree }
-
 // Stats returns the accumulated contention counters.
 func (b *SegmentedBus) Stats() BusStats { return b.stats }
-
-// ResetStats zeroes the counters.
-func (b *SegmentedBus) ResetStats() { b.stats = BusStats{} }
 
 // Transact performs one bus transaction by the slice starting at CPU cycle
 // `now`, returning the cycle at which the transfer completes and the CPU

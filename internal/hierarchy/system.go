@@ -462,9 +462,3 @@ func (s *System) pres(l Level) *PresenceIndex {
 	}
 	return s.presL3
 }
-
-// PresentMask returns the bitmask of slices holding the line at the level
-// (white-box test support; the simulation path uses the index directly).
-func (s *System) PresentMask(l Level, gl mem.GlobalLine) uint32 {
-	return s.pres(l).Get(gl)
-}
