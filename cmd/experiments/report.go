@@ -18,9 +18,11 @@ import (
 // the memo caches: every facade simulation an experiment performs is
 // recorded exactly once, keyed by its memo fingerprint, together with each
 // experiment's text rendering. Runs are emitted sorted by key, so the
-// document is byte-identical at every -jobs value. Experiments that build
-// custom hierarchies outside the facade (sens, xbar, table2, fig5, energy)
-// contribute through their text sections only.
+// document is byte-identical at every -jobs value. Experiments that
+// simulate outside the facade (sens, xbar, energy, table4) and those that
+// do not simulate (table2, fig5) contribute through their text sections
+// only. The solo-IPC references behind the speedup metrics also run
+// outside the facade; they appear as bare IPC values in the solo section.
 
 // reportSchema versions the JSON document; bump on any field change.
 const reportSchema = "morphcache-report/v1"

@@ -233,9 +233,9 @@ func Parsec(name string) Workload { return Workload{name: name} }
 
 // Replay loads a reference trace recorded in the internal/trace format
 // (see RunSpec.Record): every run of the workload replays the trace's
-// per-core streams from the start, on as many cores as the trace has.
-// The file is read once, here. Only full runs replay; sampled and bandit
-// runs reject a replay workload.
+// per-core streams from the start, and Config.Cores must match the
+// trace's core count. The file is read once, here. Only full runs replay;
+// sampled and bandit runs reject a replay workload.
 func Replay(path string) (Workload, error) {
 	f, err := os.Open(path)
 	if err != nil {
