@@ -223,9 +223,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return fail(err)
 	}
 	res, err := mc.RunBatch(cfg, []mc.RunSpec{spec}, mc.BatchOptions{Workers: 1, Context: ctx, Observe: observe})
-	if oerr := obsDone(); err == nil {
-		err = oerr
-	}
+	oerr := obsDone()
 	switch {
 	case err != nil && ctx.Err() != nil:
 		return fail(fmt.Errorf("interrupted (%v); partial results discarded", ctx.Err()))
@@ -236,6 +234,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			err = inner
 		}
 		return fail(err)
+	case oerr != nil:
+		return fail(oerr)
 	}
 	r := res[0]
 	if *stats && r.Hierarchy == nil {
